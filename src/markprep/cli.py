@@ -6,7 +6,8 @@ wall-clock, no OS entropy, byte-identical output on reruns.  Exit codes:
 
 Flags override values from an optional JSON config file (``--config``),
 which in turn override built-in defaults.  Config keys match the flag
-names with underscores; unknown keys are rejected.
+names with underscores; unknown keys are rejected, and values pass the
+same validation as typed flags.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from pathlib import Path
 from typing import NoReturn
 
 import click
-from click.core import ParameterSource
 
 from .core import DEFAULT_BANDING, BandingScheme, DegreeBand
 from .evaluation import (
@@ -60,6 +60,9 @@ from .synthgen import CohortSpec, CohortSpecError, default_cohort_spec, generate
 
 DEFAULT_SEED = 42
 
+# Config keys with no flag of their own, per command.
+_CONFIG_ONLY_KEYS = {"evaluate": {"banding"}}
+
 _METHOD_ORDER = (
     AssessmentMethodClass.EXAM_BASED,
     AssessmentMethodClass.COURSEWORK_BASED,
@@ -86,7 +89,14 @@ def _data_error(message: str) -> NoReturn:
     raise click.ClickException(message)
 
 
-def _load_config(path: str, known_keys: set[str]) -> dict:
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Eager ``--config`` callback: the file becomes the command's default map.
+
+    Click then resolves every option as flag, else config value, else the
+    option's own default, converting config values with the option's type.
+    """
+    if path is None:
+        return
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -95,22 +105,21 @@ def _load_config(path: str, known_keys: set[str]) -> dict:
         _usage_error(f"config {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         _usage_error(f"config {path} must hold a JSON object")
+    options = {
+        option.name: option
+        for option in ctx.command.params
+        if isinstance(option, click.Option) and option is not param
+    }
+    known_keys = set(options) | _CONFIG_ONLY_KEYS.get(ctx.command.name, set())
     unknown = set(raw) - known_keys
     if unknown:
         _usage_error(f"unknown config keys in {path}: {', '.join(sorted(unknown))}")
-    return raw
-
-
-def _merged_settings(ctx: click.Context, defaults: dict) -> dict:
-    """Defaults, overlaid by config file, overlaid by explicit flags."""
-    merged = dict(defaults)
-    config_path = ctx.params.get("config_path")
-    if config_path:
-        merged.update(_load_config(config_path, set(defaults)))
-    for key in defaults:
-        if key in ctx.params and ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
-            merged[key] = ctx.params[key]
-    return merged
+    for key in sorted(raw.keys() & options.keys()):
+        try:
+            options[key].type_cast_value(ctx, raw[key])
+        except click.BadParameter as exc:
+            _usage_error(f"invalid value for {key} in config {path}: {exc.message}")
+    ctx.default_map = raw
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -138,9 +147,10 @@ def _read_records(path: str):
 def _config_option(fn):
     return click.option(
         "--config",
-        "config_path",
         type=click.Path(),
-        default=None,
+        is_eager=True,
+        expose_value=False,
+        callback=_load_config,
         help="JSON config file; explicit flags override its values.",
     )(fn)
 
@@ -148,9 +158,8 @@ def _config_option(fn):
 def _format_option(fn):
     return click.option(
         "--format",
-        "output_format",
         type=click.Choice(["json", "csv", "text"]),
-        default=None,
+        default="text",
         help="Report format.  [default: text]",
     )(fn)
 
@@ -158,20 +167,19 @@ def _format_option(fn):
 def _output_option(fn):
     return click.option(
         "--output",
-        "output_path",
         type=click.Path(),
         default=None,
         help="Write the report to this file instead of stdout.",
     )(fn)
 
 
-def _seed_option(fn):
+def _seed_option(default: int | None):
     return click.option(
         "--seed",
         type=int,
-        default=None,
+        default=default,
         help=f"Root seed for all randomness.  [default: {DEFAULT_SEED}]",
-    )(fn)
+    )
 
 
 @click.group()
@@ -187,49 +195,44 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--out", type=click.Path(), default=None, help="Cohort CSV path.  [default: cohort.csv]")
-@click.option("--spec", "spec_path", type=click.Path(), default=None, help="Cohort spec JSON to generate from (defaults to a built-in single-department profile).")
+@click.option("--out", type=click.Path(), default="cohort.csv", help="Cohort CSV path.  [default: cohort.csv]")
+@click.option("--spec", type=click.Path(), default=None, help="Cohort spec JSON to generate from (defaults to a built-in single-department profile).")
 @click.option("--spec-out", type=click.Path(), default=None, help="Where to record the spec actually used.  [default: <out> with .spec.json]")
 @click.option("--students", type=int, default=None, help="Student count for the built-in profile.  [default: 406]")
-@_seed_option
+@_seed_option(None)
 @_config_option
-@click.pass_context
-def generate(ctx: click.Context, **_: object) -> None:
+def generate(
+    out: str, spec: str | None, spec_out: str | None, students: int | None, seed: int | None
+) -> None:
     """Write a deterministic synthetic cohort CSV plus its spec JSON."""
-    settings = _merged_settings(
-        ctx,
-        {"out": "cohort.csv", "spec": None, "spec_out": None, "students": None, "seed": None},
-    )
-    if ctx.params.get("spec_path") is not None:
-        settings["spec"] = ctx.params["spec_path"]
-
     try:
-        if settings["spec"]:
+        if spec:
             try:
-                spec = CohortSpec.from_json(Path(settings["spec"]).read_text(encoding="utf-8"))
+                cohort_spec = CohortSpec.from_json(Path(spec).read_text(encoding="utf-8"))
             except OSError as exc:
-                _usage_error(f"cannot read spec {settings['spec']}: {exc}")
+                _usage_error(f"cannot read spec {spec}: {exc}")
             except json.JSONDecodeError as exc:
-                _usage_error(f"spec {settings['spec']} is not valid JSON: {exc}")
-            if settings["seed"] is not None:
-                spec = dataclasses.replace(spec, seed=settings["seed"])
-            if settings["students"] is not None:
+                _usage_error(f"spec {spec} is not valid JSON: {exc}")
+            if seed is not None:
+                cohort_spec = dataclasses.replace(cohort_spec, seed=seed)
+            if students is not None:
                 _usage_error("--students applies only to the built-in profile; edit the spec file instead")
         else:
-            seed = settings["seed"] if settings["seed"] is not None else DEFAULT_SEED
-            students = settings["students"] if settings["students"] is not None else 406
-            spec = default_cohort_spec(seed, students)
-        records = generate_cohort(spec)
+            cohort_spec = default_cohort_spec(
+                seed if seed is not None else DEFAULT_SEED,
+                students if students is not None else 406,
+            )
+        records = generate_cohort(cohort_spec)
     except CohortSpecError as exc:
         _usage_error(str(exc))
 
-    out_path = Path(settings["out"])
-    spec_out = Path(settings["spec_out"]) if settings["spec_out"] else out_path.with_suffix(".spec.json")
+    out_path = Path(out)
+    spec_out_path = Path(spec_out) if spec_out else out_path.with_suffix(".spec.json")
     write_transcript_csv(records, out_path)
-    spec_out.write_text(spec.to_json(), encoding="utf-8")
+    spec_out_path.write_text(cohort_spec.to_json(), encoding="utf-8")
     students_written = len({record.student_id for record in records})
     click.echo(f"wrote {len(records)} records for {students_written} students to {out_path}")
-    click.echo(f"wrote cohort spec to {spec_out}")
+    click.echo(f"wrote cohort spec to {spec_out_path}")
 
 
 def _issues_json(stage_reports: dict[str, IngestReport]) -> dict:
@@ -268,31 +271,24 @@ def _issues_text(stage_reports: dict[str, IngestReport], final_count: int, total
 @click.option(
     "--missing-policy",
     type=click.Choice(["drop", "flag"]),
-    default=None,
+    default="flag",
     help="Treatment of records missing a weighted component mark.  [default: flag]",
 )
 @_config_option
 @_format_option
 @_output_option
 @click.pass_context
-def validate(ctx: click.Context, input_csv: str, **_: object) -> None:
+def validate(
+    ctx: click.Context, input_csv: str, missing_policy: str, format: str, output: str | None
+) -> None:
     """Check a transcript CSV; exit 1 when any row is rejected.
 
     Runs the full cleaning sequence: schema and field validation,
     duplicate handling, then the missing-mark policy.
     """
-    settings = _merged_settings(
-        ctx, {"missing_policy": "flag", "format": None, "output": None}
-    )
-    if ctx.get_parameter_source("output_format") == ParameterSource.COMMANDLINE:
-        settings["format"] = ctx.params["output_format"]
-    if ctx.get_parameter_source("output_path") == ParameterSource.COMMANDLINE:
-        settings["output"] = ctx.params["output_path"]
-    output_format = settings["format"] or "text"
-
     records, parse_report = _read_records(input_csv)
     deduped, dedupe_report = deduplicate(records)
-    policy = MissingPolicy.DROP_RECORD if settings["missing_policy"] == "drop" else MissingPolicy.FLAG_ONLY
+    policy = MissingPolicy.DROP_RECORD if missing_policy == "drop" else MissingPolicy.FLAG_ONLY
     final_records, missing_report = apply_missing_policy(deduped, policy)
 
     stages = {
@@ -301,7 +297,7 @@ def validate(ctx: click.Context, input_csv: str, **_: object) -> None:
         "missing_policy": missing_report,
     }
     total_rows = parse_report.accepted_count + parse_report.rejected_count
-    if output_format == "json":
+    if format == "json":
         text = _json_text(
             {
                 "stages": _issues_json(stages),
@@ -309,11 +305,11 @@ def validate(ctx: click.Context, input_csv: str, **_: object) -> None:
                 "total_rows": total_rows,
             }
         )
-    elif output_format == "csv":
+    elif format == "csv":
         text = _issues_csv(stages)
     else:
         text = _issues_text(stages, len(final_records), total_rows)
-    _emit(text, settings["output"])
+    _emit(text, output)
 
     any_reject = any(
         issue.severity is Severity.REJECT
@@ -423,25 +419,16 @@ def _stats_csv(table, tests: dict[str, TTestResult | None]) -> str:
 @click.option(
     "--variant",
     type=click.Choice(["pooled", "welch"]),
-    default=None,
+    default="pooled",
     help="t-test variant.  [default: pooled]",
 )
 @_config_option
 @_format_option
 @_output_option
-@click.pass_context
-def stats(ctx: click.Context, input_csv: str, **_: object) -> None:
+def stats(input_csv: str, variant: str, format: str, output: str | None) -> None:
     """Group mean marks by department and assessment method, with the
     three pairwise t-tests on the per-department means."""
-    settings = _merged_settings(
-        ctx, {"variant": "pooled", "format": None, "output": None}
-    )
-    if ctx.get_parameter_source("output_format") == ParameterSource.COMMANDLINE:
-        settings["format"] = ctx.params["output_format"]
-    if ctx.get_parameter_source("output_path") == ParameterSource.COMMANDLINE:
-        settings["output"] = ctx.params["output_path"]
-    output_format = settings["format"] or "text"
-    variant = TTestVariant(settings["variant"])
+    t_variant = TTestVariant(variant)
 
     records, _report = _read_records(input_csv)
     if not records:
@@ -456,17 +443,17 @@ def stats(ctx: click.Context, input_csv: str, **_: object) -> None:
             tests[name] = None
             continue
         try:
-            tests[name] = two_sample_t(sample_a, sample_b, variant)
+            tests[name] = two_sample_t(sample_a, sample_b, t_variant)
         except DegenerateSampleError:
             tests[name] = None
 
-    if output_format == "json":
-        text = _json_text(_stats_json(table, tests, variant))
-    elif output_format == "csv":
+    if format == "json":
+        text = _json_text(_stats_json(table, tests, t_variant))
+    elif format == "csv":
         text = _stats_csv(table, tests)
     else:
         text = _stats_text(table, tests)
-    _emit(text, settings["output"])
+    _emit(text, output)
 
 
 def _model_lines(result: RefinementResult) -> list[str]:
@@ -530,59 +517,42 @@ def _refine_report_json(result: RefinementResult) -> dict:
 @_config_option
 @_format_option
 @_output_option
-@click.pass_context
-def refine(ctx: click.Context, input_csv: str, **_: object) -> None:
+def refine(
+    input_csv: str,
+    out: str | None,
+    model_out: str | None,
+    reference_coefficients: bool,
+    per_department: bool,
+    clamp: bool,
+    format: str,
+    output: str | None,
+) -> None:
     """Fit the ratio model and write marks with the fitted ratio effect
     removed, as a trailing refined_module_mark column."""
-    settings = _merged_settings(
-        ctx,
-        {
-            "out": None,
-            "model_out": None,
-            "reference_coefficients": False,
-            "per_department": False,
-            "clamp": False,
-            "format": None,
-            "output": None,
-        },
-    )
-    if ctx.get_parameter_source("output_format") == ParameterSource.COMMANDLINE:
-        settings["format"] = ctx.params["output_format"]
-    if ctx.get_parameter_source("output_path") == ParameterSource.COMMANDLINE:
-        settings["output"] = ctx.params["output_path"]
-    output_format = settings["format"] or "text"
-
     records, _report = _read_records(input_csv)
     if not records:
         _data_error(f"no valid records in {input_csv}")
-    pinned = reference_model() if settings["reference_coefficients"] else None
+    pinned = reference_model() if reference_coefficients else None
     try:
         result = run_refinement_pipeline(
-            records,
-            model=pinned,
-            per_department=bool(settings["per_department"]),
-            clamp=bool(settings["clamp"]),
+            records, model=pinned, per_department=per_department, clamp=clamp
         )
     except (SingularFitError, ValueError) as exc:
         _data_error(str(exc))
 
-    out_path = Path(settings["out"]) if settings["out"] else Path(input_csv).with_suffix(".refined.csv")
+    out_path = Path(out) if out else Path(input_csv).with_suffix(".refined.csv")
     write_transcript_csv(result.records, out_path, refined_marks=result.refined_marks)
 
-    model_out = (
-        Path(settings["model_out"])
-        if settings["model_out"]
-        else Path(input_csv).with_suffix(".model.json")
-    )
+    model_path = Path(model_out) if model_out else Path(input_csv).with_suffix(".model.json")
     if result.department_models is not None:
         model_doc = {d: m.to_json_dict() for d, m in sorted(result.department_models.items())}
     else:
         model_doc = result.model.to_json_dict()
-    model_out.write_text(_json_text(model_doc), encoding="utf-8")
+    model_path.write_text(_json_text(model_doc), encoding="utf-8")
 
-    if output_format == "json":
+    if format == "json":
         text = _json_text(_refine_report_json(result))
-    elif output_format == "csv":
+    elif format == "csv":
         lines = ["scope,model_kind,b0,b1,b2,r_squared,n_observations"]
         scoped = (
             sorted(result.department_models.items())
@@ -599,9 +569,9 @@ def refine(ctx: click.Context, input_csv: str, **_: object) -> None:
     else:
         lines = _model_lines(result)
         lines.append(f"wrote {len(result.records)} refined records to {out_path}")
-        lines.append(f"wrote model to {model_out}")
+        lines.append(f"wrote model to {model_path}")
         text = "\n".join(lines) + "\n"
-    _emit(text, settings["output"])
+    _emit(text, output)
 
 
 def _parse_predictor_years(value: str) -> tuple[int, ...]:
@@ -688,60 +658,57 @@ def _comparison_text(result: ComparisonResult) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _comparison_report(result: ComparisonResult, format: str) -> str:
+    if format == "json":
+        return _json_text(result.to_json_dict())
+    if format == "csv":
+        return _comparison_csv(result)
+    return _comparison_text(result)
+
+
 @main.command()
 @click.argument("input_csv", type=click.Path(), required=False)
 @click.option("--from-fixture", is_flag=True, default=False, help="Print the published confusion-matrix fixtures instead of evaluating data.")
-@click.option("--test-fraction", type=float, default=None, help=f"Holdout test share.  [default: {DEFAULT_TEST_FRACTION}]")
-@click.option("--trees", type=int, default=None, help="Number of trees.  [default: 100]")
+@click.option("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION, help=f"Holdout test share.  [default: {DEFAULT_TEST_FRACTION}]")
+@click.option("--trees", type=int, default=100, help="Number of trees.  [default: 100]")
 @click.option("--max-features", type=int, default=None, help="Features tried per node.  [default: ceil(sqrt(d))]")
-@click.option("--min-leaf", type=int, default=None, help="Minimum rows per leaf.  [default: 1]")
+@click.option("--min-leaf", type=int, default=1, help="Minimum rows per leaf.  [default: 1]")
 @click.option("--no-bootstrap", is_flag=True, default=False, help="Train every tree on the full training set instead of bootstrap resamples.")
-@click.option("--auc-average", type=click.Choice(["weighted", "macro"]), default=None, help="Multiclass AUC averaging.  [default: weighted]")
-@click.option("--jobs", type=int, default=None, help="Worker threads for training.  [default: 1]")
-@click.option("--target-year", type=int, default=None, help="Year whose band is predicted.  [default: 3]")
-@click.option("--predictor-years", type=str, default=None, help="Comma-separated predictor years.  [default: 1,2]")
-@_seed_option
+@click.option("--auc-average", type=click.Choice(["weighted", "macro"]), default="weighted", help="Multiclass AUC averaging.  [default: weighted]")
+@click.option("--target-year", type=int, default=3, help="Year whose band is predicted.  [default: 3]")
+@click.option("--predictor-years", type=str, default="1,2", help="Comma-separated predictor years.  [default: 1,2]")
+@_seed_option(DEFAULT_SEED)
 @_config_option
 @_format_option
 @_output_option
 @click.pass_context
-def evaluate(ctx: click.Context, input_csv: str | None, **_: object) -> None:
+def evaluate(
+    ctx: click.Context,
+    input_csv: str | None,
+    from_fixture: bool,
+    test_fraction: float,
+    trees: int,
+    max_features: int | None,
+    min_leaf: int,
+    no_bootstrap: bool,
+    auc_average: str,
+    target_year: int,
+    predictor_years: str,
+    seed: int,
+    format: str,
+    output: str | None,
+) -> None:
     """Predict target-year bands from earlier years, with and without the
     mean coursework ratio attribute, on one identical holdout split.
 
     INPUT_CSV must be a refined transcript (the output of `refine`).
     """
-    settings = _merged_settings(
-        ctx,
-        {
-            "from_fixture": False,
-            "test_fraction": DEFAULT_TEST_FRACTION,
-            "trees": 100,
-            "max_features": None,
-            "min_leaf": 1,
-            "no_bootstrap": False,
-            "auc_average": "weighted",
-            "jobs": 1,
-            "target_year": 3,
-            "predictor_years": "1,2",
-            "seed": DEFAULT_SEED,
-            "format": None,
-            "output": None,
-            "banding": None,
-        },
-    )
-    if ctx.get_parameter_source("output_format") == ParameterSource.COMMANDLINE:
-        settings["format"] = ctx.params["output_format"]
-    if ctx.get_parameter_source("output_path") == ParameterSource.COMMANDLINE:
-        settings["output"] = ctx.params["output_path"]
-    output_format = settings["format"] or "text"
-
-    if settings["from_fixture"]:
-        if output_format == "json":
+    if from_fixture:
+        if format == "json":
             text = _json_text(_fixture_json(CONFUSION_WITHOUT_CAR, CONFUSION_WITH_CAR))
         else:
             text = _fixture_text(CONFUSION_WITHOUT_CAR, CONFUSION_WITH_CAR)
-        _emit(text, settings["output"])
+        _emit(text, output)
         return
 
     if input_csv is None:
@@ -755,13 +722,13 @@ def evaluate(ctx: click.Context, input_csv: str | None, **_: object) -> None:
     if not records:
         _data_error(f"no valid records in {input_csv}")
 
-    scheme = _parse_banding(settings["banding"]) if settings["banding"] else DEFAULT_BANDING
-    predictor_years = _parse_predictor_years(str(settings["predictor_years"]))
+    banding = (ctx.default_map or {}).get("banding")
+    scheme = _parse_banding(banding) if banding else DEFAULT_BANDING
     table = build_feature_table(
         records,
         refined_marks=refined_marks,
-        predictor_years=predictor_years,
-        target_year=int(settings["target_year"]),
+        predictor_years=_parse_predictor_years(predictor_years),
+        target_year=target_year,
         include_car=True,
         scheme=scheme,
     )
@@ -771,59 +738,35 @@ def evaluate(ctx: click.Context, input_csv: str | None, **_: object) -> None:
         )
     try:
         params = ForestParams(
-            tree_count=int(settings["trees"]),
-            max_features=settings["max_features"],
-            min_leaf=int(settings["min_leaf"]),
-            bootstrap=not settings["no_bootstrap"],
+            tree_count=trees,
+            max_features=max_features,
+            min_leaf=min_leaf,
+            bootstrap=not no_bootstrap,
         )
     except ValueError as exc:
         _usage_error(str(exc))
     try:
         result = compare_with_without_car(
-            table,
-            params,
-            seed=int(settings["seed"]),
-            test_fraction=float(settings["test_fraction"]),
-            average=str(settings["auc_average"]),
-            n_jobs=int(settings["jobs"]),
+            table, params, seed=seed, test_fraction=test_fraction, average=auc_average
         )
     except (SingleClassError, UndefinedAucError) as exc:
         _data_error(str(exc))
     except ValueError as exc:
         _data_error(str(exc))
-
-    if output_format == "json":
-        text = _json_text(result.to_json_dict())
-    elif output_format == "csv":
-        text = _comparison_csv(result)
-    else:
-        text = _comparison_text(result)
-    _emit(text, settings["output"])
+    _emit(_comparison_report(result, format), output)
 
 
-def _render_saved_report(data: dict, output_format: str) -> str:
+def _render_saved_report(path: str, data: dict, format: str) -> str:
     if "with_car" in data and "without_car" in data:
-        if output_format == "csv":
-            lines = ["metric,with_car,without_car"]
-            for metric in ("classification_accuracy", "auc", "error_rate"):
-                lines.append(
-                    f"{metric},{data['with_car'][metric]!r},{data['without_car'][metric]!r}"
-                )
-            lines.append(f"auc_delta,{data['auc_delta']!r},")
-            return "\n".join(lines) + "\n"
-        parts = []
-        for title, key in (("with ratio attribute", "with_car"), ("without ratio attribute", "without_car")):
-            block = data[key]
-            order = tuple(DegreeBand.from_label(name) for name in block["confusion"]["class_order"])
-            cells = tuple(tuple(int(c) for c in row) for row in block["confusion"]["cells"])
-            parts.append(f"{title}:")
-            parts.append(render_confusion_text(cells, order))
-            parts.append(f"classification accuracy: {block['classification_accuracy']:.4f}")
-            parts.append(f"AUC ({block['auc_average']}): {block['auc']:.4f}")
-            parts.append(f"error rate: {block['error_rate']:.4f}")
-            parts.append("")
-        parts.append(f"AUC delta (with - without): {data['auc_delta']:+.4f}")
-        return "\n".join(parts) + "\n"
+        try:
+            result = ComparisonResult.from_json_dict(data)
+        except KeyError as exc:
+            _usage_error(f"saved evaluation {path} lacks the key {exc}")
+        except (AttributeError, TypeError, ValueError) as exc:
+            _usage_error(f"saved evaluation {path} is malformed: {exc}")
+        return _comparison_report(result, format)
+    if format == "json":
+        return _json_text(data)
     if "b0" in data:
         model = RefinementModel.from_json_dict(data)
         return (
@@ -849,17 +792,9 @@ def _render_saved_report(data: dict, output_format: str) -> str:
 @_config_option
 @_format_option
 @_output_option
-@click.pass_context
-def report(ctx: click.Context, input_json: str, **_: object) -> None:
+def report(input_json: str, format: str, output: str | None) -> None:
     """Re-render a saved JSON report (from `evaluate` or `refine`) as
     text or CSV without recomputing anything."""
-    settings = _merged_settings(ctx, {"format": None, "output": None})
-    if ctx.get_parameter_source("output_format") == ParameterSource.COMMANDLINE:
-        settings["format"] = ctx.params["output_format"]
-    if ctx.get_parameter_source("output_path") == ParameterSource.COMMANDLINE:
-        settings["output"] = ctx.params["output_path"]
-    output_format = settings["format"] or "text"
-
     try:
         data = json.loads(Path(input_json).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -869,11 +804,7 @@ def report(ctx: click.Context, input_json: str, **_: object) -> None:
     if not isinstance(data, dict):
         _usage_error(f"{input_json} must hold a JSON object")
 
-    if output_format == "json":
-        text = _json_text(data)
-    else:
-        text = _render_saved_report(data, output_format)
-    _emit(text, settings["output"])
+    _emit(_render_saved_report(input_json, data, format), output)
 
 
 if __name__ == "__main__":

@@ -111,6 +111,8 @@ class ConfusionMatrix:
             raise ValueError("cells must be square over class_order")
         if any(cell < 0 for row in self.cells for cell in row):
             raise ValueError("cell counts must be non-negative")
+        if sorted(self.class_order) != list(DegreeBand):
+            raise ValueError("class_order must list every band exactly once")
 
     def trace(self) -> int:
         return sum(self.cells[i][i] for i in range(len(self.class_order)))
@@ -141,6 +143,13 @@ class ConfusionMatrix:
             "class_order": [band.name for band in self.class_order],
             "cells": [list(row) for row in self.cells],
         }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "ConfusionMatrix":
+        return cls(
+            class_order=tuple(DegreeBand.from_label(name) for name in data["class_order"]),
+            cells=tuple(tuple(int(cell) for cell in row) for row in data["cells"]),
+        )
 
 
 def confusion_matrix(
@@ -258,6 +267,20 @@ class EvaluationReport:
             "auc_average": self.auc_average,
         }
 
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "EvaluationReport":
+        return cls(
+            confusion=ConfusionMatrix.from_json_dict(data["confusion"]),
+            classification_accuracy=float(data["classification_accuracy"]),
+            auc=float(data["auc"]),
+            error_rate=float(data["error_rate"]),
+            per_class_auc={
+                DegreeBand.from_label(name): float(value)
+                for name, value in data["per_class_auc"].items()
+            },
+            auc_average=str(data["auc_average"]),
+        )
+
 
 def evaluate_forest(
     model: ForestModel,
@@ -288,12 +311,24 @@ class ComparisonResult:
     without_car: EvaluationReport
     auc_delta: float
 
+    def __post_init__(self) -> None:
+        if abs(self.auc_delta - (self.with_car.auc - self.without_car.auc)) > 1e-9:
+            raise ValueError("auc_delta must equal the with-ratio minus the without-ratio AUC")
+
     def to_json_dict(self) -> dict:
         return {
             "with_car": self.with_car.to_json_dict(),
             "without_car": self.without_car.to_json_dict(),
             "auc_delta": self.auc_delta,
         }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "ComparisonResult":
+        return cls(
+            with_car=EvaluationReport.from_json_dict(data["with_car"]),
+            without_car=EvaluationReport.from_json_dict(data["without_car"]),
+            auc_delta=float(data["auc_delta"]),
+        )
 
 
 def _mask_column(rows: Iterable[FeatureRow], column_index: int) -> list[FeatureRow]:
@@ -311,7 +346,6 @@ def compare_with_without_car(
     seed: int,
     test_fraction: float = DEFAULT_TEST_FRACTION,
     average: str = "weighted",
-    n_jobs: int = 1,
 ) -> ComparisonResult:
     """Train and score twice on one identical split: ratio column live,
     then masked to a constant.
@@ -325,12 +359,12 @@ def compare_with_without_car(
     car_index = table.column_names.index(CAR_COLUMN)
     train_rows, test_rows = holdout_split(list(table.rows), test_fraction, seed)
 
-    model_with = train_forest(train_rows, params, seed, n_jobs=n_jobs)
+    model_with = train_forest(train_rows, params, seed)
     report_with = evaluate_forest(model_with, test_rows, average)
 
     masked_train = _mask_column(train_rows, car_index)
     masked_test = _mask_column(test_rows, car_index)
-    model_without = train_forest(masked_train, params, seed, n_jobs=n_jobs)
+    model_without = train_forest(masked_train, params, seed)
     report_without = evaluate_forest(model_without, masked_test, average)
 
     return ComparisonResult(

@@ -168,26 +168,3 @@ WORKED_EXAMPLE_GROUPS: dict[str, WorkedExampleGroup] = {
 }
 WORKED_EXAMPLE_TOTAL = WorkedExampleGroup(32, 56.4, 53.2)
 
-
-@dataclass(frozen=True, slots=True)
-class FixtureTables:
-    """All published reference aggregates, bundled."""
-
-    group_means: dict[str, GroupMeanRow]
-    comparisons: dict[str, ReferenceComparison]
-    confusion_without_car: PublishedConfusionTable
-    confusion_with_car: PublishedConfusionTable
-    worked_example_groups: dict[str, WorkedExampleGroup]
-    worked_example_total: WorkedExampleGroup
-
-
-def emit_fixture_tables() -> FixtureTables:
-    """The embedded published aggregates as one bundle."""
-    return FixtureTables(
-        group_means=dict(REFERENCE_GROUP_MEANS),
-        comparisons=dict(REFERENCE_COMPARISONS),
-        confusion_without_car=CONFUSION_WITHOUT_CAR,
-        confusion_with_car=CONFUSION_WITH_CAR,
-        worked_example_groups=dict(WORKED_EXAMPLE_GROUPS),
-        worked_example_total=WORKED_EXAMPLE_TOTAL,
-    )

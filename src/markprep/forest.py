@@ -5,8 +5,7 @@ per-node uniform feature subsets.  All randomness comes from per-purpose
 sub-streams under one seed: key (0,) shuffles holdout splits, key (1, t)
 drives tree t's bootstrap draw and feature subsets.  Trees are built
 depth-first, left child before right, so a tree's stream consumption is
-a fixed function of its data and parallel training reproduces serial
-training bit for bit.
+a fixed function of its data.
 
 Split thresholds sit at midpoints between consecutive distinct sorted
 feature values; rows with feature <= threshold go left.  Argmax over the
@@ -15,7 +14,6 @@ averaged leaf distributions breaks ties toward the worse band.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
@@ -245,12 +243,11 @@ def train_forest(
     rows: Sequence[FeatureRow],
     params: ForestParams,
     seed: int,
-    n_jobs: int = 1,
 ) -> ForestModel:
-    """Train a seeded forest; deterministic for any n_jobs.
+    """Train a seeded forest; deterministic for a fixed seed.
 
     Each tree draws its bootstrap resample and per-node feature subsets
-    from its own sub-stream, so thread scheduling cannot change results.
+    from its own sub-stream.
     """
     if not rows:
         raise ValueError("cannot train on zero rows")
@@ -277,13 +274,8 @@ def train_forest(
             indexes = np.arange(n_rows)
         return _grow_tree(x_matrix, y, indexes, rng, max_features, params.min_leaf)
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            trees = tuple(pool.map(build, range(params.tree_count)))
-    else:
-        trees = tuple(build(t) for t in range(params.tree_count))
     return ForestModel(
-        trees=trees,
+        trees=tuple(build(t) for t in range(params.tree_count)),
         params=params,
         resolved_max_features=max_features,
         n_features=n_features,

@@ -188,14 +188,6 @@ def choose_model_kind(
     return ModelKind.LINEAR
 
 
-def select_model(points: Sequence[tuple[Car, float]]) -> RefinementModel:
-    """Fit both degrees and keep the one the selection rule prefers."""
-    linear = fit_polynomial(points, 1)
-    quadratic = fit_polynomial(points, 2)
-    kind = choose_model_kind(linear.r_squared, quadratic.r_squared)
-    return quadratic if kind is ModelKind.QUADRATIC else linear
-
-
 def refine_mark(
     module_mark: float, car: Car, model: RefinementModel, clamp: bool = False
 ) -> float:

@@ -167,7 +167,6 @@ def test_evaluate_runs_and_is_deterministic(refined: Path) -> None:
     assert "with ratio attribute" in first
     assert "AUC delta" in first
     assert run(*args) == first
-    assert run(*args, "--jobs", "3") == first
 
 
 def test_evaluate_json_and_csv_formats(refined: Path) -> None:
@@ -206,6 +205,30 @@ def test_report_rerenders_saved_evaluation(refined: Path, tmp_path: Path) -> Non
     assert csv_text.splitlines()[0] == "metric,with_car,without_car"
 
 
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (lambda doc: doc["with_car"].pop("auc"), "'auc'"),
+        (lambda doc: doc["with_car"].update(error_rate=0.5, auc=0.9), "error_rate"),
+        (lambda doc: doc.update(auc_delta=doc["auc_delta"] + 0.1), "auc_delta"),
+        (lambda doc: doc["with_car"]["confusion"].update(class_order=["FAIL"] * 6), "class_order"),
+    ],
+    ids=["missing-auc", "error-rate-not-1-minus-auc", "inconsistent-auc-delta", "repeated-band"],
+)
+def test_report_rejects_malformed_saved_evaluation(
+    refined: Path, tmp_path: Path, edit, message: str
+) -> None:
+    saved = tmp_path / "eval.json"
+    run("evaluate", str(refined), "--trees", "8", "--format", "json", "--output", str(saved))
+    doc = json.loads(saved.read_text())
+    edit(doc)
+    saved.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["report", str(saved)])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
 def test_report_rerenders_saved_model(cohort: Path, tmp_path: Path) -> None:
     model_out = tmp_path / "model.json"
     run("refine", str(cohort), "--model-out", str(model_out))
@@ -226,6 +249,46 @@ def test_output_flag_writes_file_instead_of_stdout(cohort: Path, tmp_path: Path)
     assert "Department" in target.read_text()
 
 
-def test_bad_flag_value_is_usage_error(cohort: Path) -> None:
+def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
     run("validate", str(cohort), "--missing-policy", "purge", expect=2)
     run("stats", str(cohort), "--variant", "bayes", expect=2)
+    run("evaluate", str(refined), "--jobs", "2", expect=2)
+
+
+@pytest.mark.parametrize(
+    ("command", "config"),
+    [
+        ("validate", {"missing_policy": "purge"}),
+        ("stats", {"format": "xml"}),
+        ("stats", {"variant": "bayes"}),
+        ("refine", {"clamp": "maybe"}),
+    ],
+)
+def test_bad_config_value_is_usage_error(
+    cohort: Path, tmp_path: Path, command: str, config: dict
+) -> None:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(main, [command, str(cohort), "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    (key,) = config
+    assert key in result.output
+
+
+def test_config_flag_values_parse_like_flags(tmp_path: Path) -> None:
+    # a low coursework-only mark refines below zero unless clamped
+    path = tmp_path / "low.csv"
+    path.write_text(
+        "student_id,department,year_level,module_code,module_mark,exam_mark,"
+        "cswk_mark,exam_weight,cswk_weight\n"
+        "S1,CS,1,M1,2,,2,0,100\n"
+        "S2,CS,1,M2,60,60,,100,0\n"
+    )
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"clamp": "no"}))
+    plain, via_config = tmp_path / "plain.csv", tmp_path / "config.csv"
+    run("refine", str(path), "--reference-coefficients", "--out", str(plain))
+    run("refine", str(path), "--reference-coefficients", "--out", str(via_config),
+        "--config", str(config))
+    assert ",-4.8" in plain.read_text()
+    assert via_config.read_bytes() == plain.read_bytes()

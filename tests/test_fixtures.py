@@ -19,7 +19,6 @@ from markprep.fixtures import (
     REFERENCE_T_EXAM_VS_COURSEWORK,
     WORKED_EXAMPLE_GROUPS,
     WORKED_EXAMPLE_TOTAL,
-    emit_fixture_tables,
 )
 
 
@@ -111,13 +110,3 @@ def test_worked_example_coursework_mean_follows_the_rule() -> None:
 def test_worked_example_module_counts_sum() -> None:
     assert sum(g.module_count for g in WORKED_EXAMPLE_GROUPS.values()) == WORKED_EXAMPLE_TOTAL.module_count == 32
 
-
-def test_fixture_bundle_contains_everything() -> None:
-    bundle = emit_fixture_tables()
-    assert bundle.group_means == REFERENCE_GROUP_MEANS
-    assert bundle.confusion_with_car is CONFUSION_WITH_CAR
-    assert bundle.confusion_without_car is CONFUSION_WITHOUT_CAR
-    assert bundle.worked_example_total == WORKED_EXAMPLE_TOTAL
-    assert set(bundle.comparisons) == {
-        "exam_vs_coursework", "mixed_vs_exam", "mixed_vs_coursework",
-    }

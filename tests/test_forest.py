@@ -132,13 +132,6 @@ def test_forest_is_deterministic_for_fixed_seed() -> None:
     assert forest_to_json_dict(c) != forest_to_json_dict(a)
 
 
-def test_parallel_training_matches_serial() -> None:
-    rows = blob_rows(np.random.default_rng(3), n=150)
-    serial = train_forest(rows, ForestParams(tree_count=16), seed=21, n_jobs=1)
-    parallel = train_forest(rows, ForestParams(tree_count=16), seed=21, n_jobs=4)
-    assert forest_to_json_dict(serial) == forest_to_json_dict(parallel)
-
-
 def test_single_unbootstrapped_tree_memorizes_training_data() -> None:
     rng = np.random.default_rng(8)
     rows = blob_rows(rng, n=60, noise=0.4)

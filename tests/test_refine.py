@@ -17,7 +17,6 @@ from markprep import (
     reference_model,
     refine_mark,
     run_refinement_pipeline,
-    select_model,
 )
 from test_core import make_outcome
 
@@ -113,14 +112,30 @@ def test_choose_model_kind_tie_break() -> None:
     assert choose_model_kind(0.6, 0.4) is ModelKind.LINEAR
 
 
+def selected_model(points: list[tuple[Car, float]]) -> RefinementModel:
+    """The model the refinement pipeline selects for one record per point."""
+    records = [
+        make_outcome(
+            mark=mark,
+            exam_weight=100 - round(car.value * 100),
+            cswk_weight=round(car.value * 100),
+            exam_mark=None,
+            cswk_mark=None,
+            module_code=f"M{i}",
+        )
+        for i, (car, mark) in enumerate(points)
+    ]
+    return run_refinement_pipeline(records).model
+
+
 def test_select_model_prefers_linear_on_linear_data() -> None:
     points = quad_points([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], 30.0, 5.0, 0.0)
-    assert select_model(points).model_kind is ModelKind.LINEAR
+    assert selected_model(points).model_kind is ModelKind.LINEAR
 
 
 def test_select_model_prefers_quadratic_on_curved_data() -> None:
     points = quad_points([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], 30.0, 5.0, -9.0)
-    assert select_model(points).model_kind is ModelKind.QUADRATIC
+    assert selected_model(points).model_kind is ModelKind.QUADRATIC
 
 
 def test_reference_model_worked_arithmetic() -> None:
