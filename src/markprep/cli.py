@@ -22,18 +22,16 @@ from .core import DEFAULT_BANDING, BandingScheme, DegreeBand
 from .evaluation import (
     DEFAULT_TEST_FRACTION,
     ComparisonResult,
-    UndefinedAucError,
     build_feature_table,
     compare_with_without_car,
     render_confusion_text,
     render_report_text,
 )
 from .fixtures import CONFUSION_WITH_CAR, CONFUSION_WITHOUT_CAR, PublishedConfusionTable
-from .forest import ForestParams, SingleClassError
+from .forest import ForestParams
 from .ingest import (
     IngestReport,
     MissingPolicy,
-    Severity,
     TranscriptSchemaError,
     apply_missing_policy,
     deduplicate,
@@ -89,6 +87,18 @@ def _data_error(message: str) -> NoReturn:
     raise click.ClickException(message)
 
 
+def _read_json_object(path: str, label: str) -> dict:
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        _usage_error(f"cannot read {label}: {exc}")
+    except json.JSONDecodeError as exc:
+        _usage_error(f"{label} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        _usage_error(f"{label} must hold a JSON object")
+    return data
+
+
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Eager ``--config`` callback: the file becomes the command's default map.
 
@@ -97,14 +107,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     """
     if path is None:
         return
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        _usage_error(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        _usage_error(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        _usage_error(f"config {path} must hold a JSON object")
+    raw = _read_json_object(path, f"config {path}")
     options = {
         option.name: option
         for option in ctx.command.params
@@ -311,12 +314,7 @@ def validate(
         text = _issues_text(stages, len(final_records), total_rows)
     _emit(text, output)
 
-    any_reject = any(
-        issue.severity is Severity.REJECT
-        for report in stages.values()
-        for issue in report.issues
-    )
-    if any_reject:
+    if any(report.reject_issues for report in stages.values()):
         ctx.exit(1)
 
 
@@ -480,6 +478,57 @@ def _model_lines(result: RefinementResult) -> list[str]:
     return lines
 
 
+# One pooled model, or a model per department keyed by department name.
+_SavedModels = RefinementModel | dict[str, RefinementModel]
+
+
+def _scoped_models(models: _SavedModels) -> list[tuple[str, RefinementModel]]:
+    if isinstance(models, RefinementModel):
+        return [("pooled", models)]
+    return sorted(models.items())
+
+
+def _models_json(models: _SavedModels) -> dict:
+    """The model JSON that `refine` writes and `report` reads back."""
+    if isinstance(models, RefinementModel):
+        return models.to_json_dict()
+    return {scope: model.to_json_dict() for scope, model in models.items()}
+
+
+def _models_from_json(data: dict) -> _SavedModels | None:
+    """Inverse of ``_models_json``; None when the object is no model JSON."""
+    if "b0" in data:
+        return RefinementModel.from_json_dict(data)
+    if data and all(isinstance(value, dict) and "b0" in value for value in data.values()):
+        return {scope: RefinementModel.from_json_dict(value) for scope, value in data.items()}
+    return None
+
+
+def _models_csv(models: _SavedModels) -> str:
+    lines = ["scope,model_kind,b0,b1,b2,r_squared,n_observations"]
+    for scope, model in _scoped_models(models):
+        lines.append(
+            f"{scope},{model.model_kind.value},{model.intercept!r},"
+            f"{model.linear!r},{model.quadratic!r},{model.r_squared!r},"
+            f"{model.n_observations}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _models_text(models: _SavedModels) -> str:
+    def fit(model: RefinementModel) -> str:
+        return (
+            f"b0 = {model.intercept:.6g}, b1 = {model.linear:.6g}, b2 = {model.quadratic:.6g}, "
+            f"R^2 = {model.r_squared:.6f}, n = {model.n_observations}"
+        )
+
+    if isinstance(models, RefinementModel):
+        return f"{models.model_kind.value} model: {fit(models)}\n"
+    return "".join(
+        f"{scope}: {model.model_kind.value} {fit(model)}\n" for scope, model in _scoped_models(models)
+    )
+
+
 def _refine_report_json(result: RefinementResult) -> dict:
     return {
         "model": result.model.to_json_dict() if result.model else None,
@@ -544,28 +593,13 @@ def refine(
     write_transcript_csv(result.records, out_path, refined_marks=result.refined_marks)
 
     model_path = Path(model_out) if model_out else Path(input_csv).with_suffix(".model.json")
-    if result.department_models is not None:
-        model_doc = {d: m.to_json_dict() for d, m in sorted(result.department_models.items())}
-    else:
-        model_doc = result.model.to_json_dict()
-    model_path.write_text(_json_text(model_doc), encoding="utf-8")
+    models = result.department_models if result.department_models is not None else result.model
+    model_path.write_text(_json_text(_models_json(models)), encoding="utf-8")
 
     if format == "json":
         text = _json_text(_refine_report_json(result))
     elif format == "csv":
-        lines = ["scope,model_kind,b0,b1,b2,r_squared,n_observations"]
-        scoped = (
-            sorted(result.department_models.items())
-            if result.department_models is not None
-            else [("pooled", result.model)]
-        )
-        for scope, model in scoped:
-            lines.append(
-                f"{scope},{model.model_kind.value},{model.intercept!r},"
-                f"{model.linear!r},{model.quadratic!r},{model.r_squared!r},"
-                f"{model.n_observations}"
-            )
-        text = "\n".join(lines) + "\n"
+        text = _models_csv(models)
     else:
         lines = _model_lines(result)
         lines.append(f"wrote {len(result.records)} refined records to {out_path}")
@@ -669,7 +703,7 @@ def _comparison_report(result: ComparisonResult, format: str) -> str:
 @main.command()
 @click.argument("input_csv", type=click.Path(), required=False)
 @click.option("--from-fixture", is_flag=True, default=False, help="Print the published confusion-matrix fixtures instead of evaluating data.")
-@click.option("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION, help=f"Holdout test share.  [default: {DEFAULT_TEST_FRACTION}]")
+@click.option("--test-fraction", type=click.FloatRange(0, 1, min_open=True, max_open=True), default=DEFAULT_TEST_FRACTION, help=f"Holdout test share.  [default: {DEFAULT_TEST_FRACTION}]")
 @click.option("--trees", type=int, default=100, help="Number of trees.  [default: 100]")
 @click.option("--max-features", type=int, default=None, help="Features tried per node.  [default: ceil(sqrt(d))]")
 @click.option("--min-leaf", type=int, default=1, help="Minimum rows per leaf.  [default: 1]")
@@ -704,6 +738,8 @@ def evaluate(
     INPUT_CSV must be a refined transcript (the output of `refine`).
     """
     if from_fixture:
+        if format == "csv":
+            _usage_error("--from-fixture prints text or json, not csv")
         if format == "json":
             text = _json_text(_fixture_json(CONFUSION_WITHOUT_CAR, CONFUSION_WITH_CAR))
         else:
@@ -745,46 +781,40 @@ def evaluate(
         )
     except ValueError as exc:
         _usage_error(str(exc))
+    n_features = len(table.column_names)
+    if max_features is not None and max_features > n_features:
+        _usage_error(f"--max-features {max_features} exceeds the feature count {n_features}")
     try:
         result = compare_with_without_car(
             table, params, seed=seed, test_fraction=test_fraction, average=auc_average
         )
-    except (SingleClassError, UndefinedAucError) as exc:
-        _data_error(str(exc))
     except ValueError as exc:
+        # the flags are valid by now: a single-class split, an undefined
+        # AUC or a holdout with an empty side depends on the data
         _data_error(str(exc))
     _emit(_comparison_report(result, format), output)
 
 
 def _render_saved_report(path: str, data: dict, format: str) -> str:
-    if "with_car" in data and "without_car" in data:
-        try:
-            result = ComparisonResult.from_json_dict(data)
-        except KeyError as exc:
-            _usage_error(f"saved evaluation {path} lacks the key {exc}")
-        except (AttributeError, TypeError, ValueError) as exc:
-            _usage_error(f"saved evaluation {path} is malformed: {exc}")
-        return _comparison_report(result, format)
+    """Parse a saved `evaluate` or `refine` JSON, then render it like the
+    command that wrote it; a document that does not parse is a usage error."""
+    is_comparison = "with_car" in data and "without_car" in data
+    kind = "evaluation" if is_comparison else "model"
+    try:
+        saved = ComparisonResult.from_json_dict(data) if is_comparison else _models_from_json(data)
+    except KeyError as exc:
+        _usage_error(f"saved {kind} {path} lacks the key {exc}")
+    except (AttributeError, TypeError, ValueError) as exc:
+        _usage_error(f"saved {kind} {path} is malformed: {exc}")
+    if saved is None:
+        _usage_error("unrecognized report JSON; expected evaluate or refine output")
+    if is_comparison:
+        return _comparison_report(saved, format)
     if format == "json":
-        return _json_text(data)
-    if "b0" in data:
-        model = RefinementModel.from_json_dict(data)
-        return (
-            f"{model.model_kind.value} model: b0 = {model.intercept:.6g}, "
-            f"b1 = {model.linear:.6g}, b2 = {model.quadratic:.6g}, "
-            f"R^2 = {model.r_squared:.6f}, n = {model.n_observations}\n"
-        )
-    if data and all(isinstance(value, dict) and "b0" in value for value in data.values()):
-        lines = []
-        for scope in sorted(data):
-            model = RefinementModel.from_json_dict(data[scope])
-            lines.append(
-                f"{scope}: {model.model_kind.value} b0 = {model.intercept:.6g}, "
-                f"b1 = {model.linear:.6g}, b2 = {model.quadratic:.6g}, "
-                f"R^2 = {model.r_squared:.6f}, n = {model.n_observations}"
-            )
-        return "\n".join(lines) + "\n"
-    _usage_error("unrecognized report JSON; expected evaluate or refine output")
+        return _json_text(_models_json(saved))
+    if format == "csv":
+        return _models_csv(saved)
+    return _models_text(saved)
 
 
 @main.command()
@@ -795,15 +825,7 @@ def _render_saved_report(path: str, data: dict, format: str) -> str:
 def report(input_json: str, format: str, output: str | None) -> None:
     """Re-render a saved JSON report (from `evaluate` or `refine`) as
     text or CSV without recomputing anything."""
-    try:
-        data = json.loads(Path(input_json).read_text(encoding="utf-8"))
-    except OSError as exc:
-        _usage_error(f"cannot read {input_json}: {exc}")
-    except json.JSONDecodeError as exc:
-        _usage_error(f"{input_json} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        _usage_error(f"{input_json} must hold a JSON object")
-
+    data = _read_json_object(input_json, input_json)
     _emit(_render_saved_report(input_json, data, format), output)
 
 

@@ -291,6 +291,8 @@ def evaluate_forest(
     if not rows:
         raise ValueError("cannot evaluate on zero rows")
     probabilities = np.array([proba_vector(model, row.features) for row in rows])
+    # argmax returns the first maximum, and the vector is ordered worst
+    # band first, so equal probabilities resolve to the worse band
     predictions = [DegreeBand(int(np.argmax(p))) for p in probabilities]
     truths = [row.label for row in rows]
     matrix = confusion_matrix(truths, predictions)

@@ -8,8 +8,9 @@ depth-first, left child before right, so a tree's stream consumption is
 a fixed function of its data.
 
 Split thresholds sit at midpoints between consecutive distinct sorted
-feature values; rows with feature <= threshold go left.  Argmax over the
-averaged leaf distributions breaks ties toward the worse band.
+feature values; rows with feature <= threshold go left.  ``proba_vector``
+averages a row's leaf distributions over the trees; ``evaluate_forest``
+takes the argmax, breaking ties toward the worse band.
 """
 from __future__ import annotations
 
@@ -110,12 +111,6 @@ class FeatureTable:
                     f"row {row.student_id!r} has {len(row.features)} features, "
                     f"expected {arity}"
                 )
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([row.features for row in self.rows], dtype=float)
-
-    def labels(self) -> tuple[DegreeBand, ...]:
-        return tuple(row.label for row in self.rows)
 
 
 RowT = TypeVar("RowT")
@@ -302,78 +297,3 @@ def proba_vector(model: ForestModel, features: Sequence[float]) -> np.ndarray:
         counts = np.array(_leaf_for(tree, features).counts, dtype=float)
         accumulated += counts / counts.sum()
     return accumulated / len(model.trees)
-
-
-def predict_proba(model: ForestModel, features: Sequence[float]) -> dict[DegreeBand, float]:
-    vector = proba_vector(model, features)
-    return {band: float(vector[int(band)]) for band in DegreeBand}
-
-
-def predict_band(model: ForestModel, features: Sequence[float]) -> DegreeBand:
-    """Most probable band; equal probabilities resolve to the worse band."""
-    vector = proba_vector(model, features)
-    # argmax returns the first maximum, and the vector is ordered worst
-    # band first
-    return DegreeBand(int(np.argmax(vector)))
-
-
-def _node_to_json(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"counts": list(node.counts)}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
-    }
-
-
-def _node_from_json(data: dict) -> TreeNode:
-    if "counts" in data:
-        counts = tuple(int(c) for c in data["counts"])
-        if len(counts) != _N_BANDS:
-            raise ValueError(f"leaf must carry {_N_BANDS} counts, got {len(counts)}")
-        return TreeNode(None, None, None, None, counts)
-    return TreeNode(
-        feature=int(data["feature"]),
-        threshold=float(data["threshold"]),
-        left=_node_from_json(data["left"]),
-        right=_node_from_json(data["right"]),
-        counts=None,
-    )
-
-
-def forest_to_json_dict(model: ForestModel) -> dict:
-    return {
-        "format_version": 1,
-        "tree_count": model.params.tree_count,
-        "max_features": model.resolved_max_features,
-        "min_leaf": model.params.min_leaf,
-        "bootstrap": model.params.bootstrap,
-        "n_features": model.n_features,
-        "seed": model.seed,
-        "trees": [_node_to_json(tree) for tree in model.trees],
-    }
-
-
-def forest_from_json_dict(data: dict) -> ForestModel:
-    if data.get("format_version") != 1:
-        raise ValueError(f"unsupported forest format: {data.get('format_version')!r}")
-    params = ForestParams(
-        tree_count=int(data["tree_count"]),
-        max_features=int(data["max_features"]),
-        min_leaf=int(data["min_leaf"]),
-        bootstrap=bool(data["bootstrap"]),
-    )
-    trees = tuple(_node_from_json(tree) for tree in data["trees"])
-    if len(trees) != params.tree_count:
-        raise ValueError(
-            f"tree count mismatch: header says {params.tree_count}, found {len(trees)}"
-        )
-    return ForestModel(
-        trees=trees,
-        params=params,
-        resolved_max_features=int(data["max_features"]),
-        n_features=int(data["n_features"]),
-        seed=int(data["seed"]),
-    )

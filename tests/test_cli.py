@@ -157,6 +157,12 @@ def test_evaluate_from_fixture_prints_published_accuracies() -> None:
     assert doc["without_car"]["classification_accuracy"] == pytest.approx(148 / 284)
 
 
+def test_evaluate_from_fixture_rejects_csv() -> None:
+    result = runner.invoke(main, ["evaluate", "--from-fixture", "--format", "csv"])
+    assert result.exit_code == 2, result.output
+    assert "text or json" in result.output
+
+
 def test_evaluate_rejects_unrefined_schema(cohort: Path) -> None:
     run("evaluate", str(cohort), expect=2)
 
@@ -236,10 +242,44 @@ def test_report_rerenders_saved_model(cohort: Path, tmp_path: Path) -> None:
     assert "b1 =" in text
 
 
+def two_department_copy(cohort: Path) -> Path:
+    """The cohort with every other student moved to a second department."""
+    lines = cohort.read_text().splitlines()
+    moved = [
+        line.replace(",CS,", ",MATH,", 1) if line.split(",")[0][-1] in "13579" else line
+        for line in lines[1:]
+    ]
+    path = cohort.with_name("two_departments.csv")
+    path.write_text("\n".join([lines[0], *moved]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("scope", [(), ("--per-department",)], ids=["pooled", "per-department"])
+def test_report_renders_saved_model_like_refine(cohort: Path, tmp_path: Path, scope) -> None:
+    source = two_department_copy(cohort)
+    model_out = tmp_path / "model.json"
+    refine_csv = run("refine", str(source), *scope, "--model-out", str(model_out), "--format", "csv")
+    assert len(refine_csv.splitlines()) == (3 if scope else 2)
+    assert run("report", str(model_out), "--format", "csv") == refine_csv
+    assert run("report", str(model_out), "--format", "json") == model_out.read_text()
+
+
 def test_report_rejects_unrecognized_json(tmp_path: Path) -> None:
     path = tmp_path / "junk.json"
     path.write_text('{"hello": 1}')
-    run("report", str(path), expect=2)
+    for format in ("text", "json", "csv"):
+        run("report", str(path), "--format", format, expect=2)
+
+
+@pytest.mark.parametrize("format", ["text", "json", "csv"])
+@pytest.mark.parametrize("doc", [{"b0": 1}, {"CS": {"b0": 1}}], ids=["pooled", "per-department"])
+def test_report_rejects_malformed_saved_model(tmp_path: Path, doc: dict, format: str) -> None:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["report", str(path), "--format", format])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "missing model fields" in result.output
 
 
 def test_output_flag_writes_file_instead_of_stdout(cohort: Path, tmp_path: Path) -> None:
@@ -253,6 +293,12 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
     run("validate", str(cohort), "--missing-policy", "purge", expect=2)
     run("stats", str(cohort), "--variant", "bayes", expect=2)
     run("evaluate", str(refined), "--jobs", "2", expect=2)
+    run("evaluate", str(refined), "--test-fraction", "1.5", expect=2)
+    # three features with the default predictor years
+    run("evaluate", str(refined), "--trees", "3", "--max-features", "3")
+    run("evaluate", str(refined), "--max-features", "4", expect=2)
+    # a fraction inside (0, 1) that leaves no test row is a data failure
+    run("evaluate", str(refined), "--test-fraction", "0.001", expect=1)
 
 
 @pytest.mark.parametrize(
@@ -262,14 +308,16 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
         ("stats", {"format": "xml"}),
         ("stats", {"variant": "bayes"}),
         ("refine", {"clamp": "maybe"}),
+        ("evaluate", {"test_fraction": 1.5}),
     ],
 )
 def test_bad_config_value_is_usage_error(
-    cohort: Path, tmp_path: Path, command: str, config: dict
+    cohort: Path, refined: Path, tmp_path: Path, command: str, config: dict
 ) -> None:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    result = runner.invoke(main, [command, str(cohort), "--config", str(path)])
+    source = refined if command == "evaluate" else cohort
+    result = runner.invoke(main, [command, str(source), "--config", str(path)])
     assert result.exit_code == 2, result.output
     (key,) = config
     assert key in result.output

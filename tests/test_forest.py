@@ -1,4 +1,4 @@
-"""From-scratch random forest: splits, determinism, serialization."""
+"""From-scratch random forest: splits, determinism, prediction."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,14 +8,13 @@ from markprep import (
     DegreeBand,
     FeatureRow,
     FeatureTable,
+    ForestModel,
     ForestParams,
     SingleClassError,
-    forest_from_json_dict,
-    forest_to_json_dict,
+    TreeNode,
+    evaluate_forest,
     gini_impurity,
     holdout_split,
-    predict_band,
-    predict_proba,
     proba_vector,
     train_forest,
 )
@@ -86,9 +85,7 @@ def test_holdout_split_rejects_empty_sides() -> None:
 def test_feature_table_validates_arity() -> None:
     row = FeatureRow("S1", (1.0, 2.0), DegreeBand.PASS)
     bad = FeatureRow("S2", (1.0,), DegreeBand.FAIL)
-    table = FeatureTable(("a", "b"), (row,))
-    assert table.feature_matrix().shape == (1, 2)
-    assert table.labels() == (DegreeBand.PASS,)
+    FeatureTable(("a", "b"), (row,))
     with pytest.raises(ValueError):
         FeatureTable(("a", "b"), (row, bad))
 
@@ -119,17 +116,16 @@ def test_forest_learns_separable_blobs() -> None:
     train = blob_rows(rng, n=240)
     test = blob_rows(rng, n=90)
     model = train_forest(train, ForestParams(tree_count=30), seed=5)
-    hits = sum(predict_band(model, row.features) is row.label for row in test)
-    assert hits / len(test) > 0.9
+    assert evaluate_forest(model, test).classification_accuracy > 0.9
 
 
 def test_forest_is_deterministic_for_fixed_seed() -> None:
     rows = blob_rows(np.random.default_rng(2), n=120)
     a = train_forest(rows, ForestParams(tree_count=12), seed=9)
     b = train_forest(rows, ForestParams(tree_count=12), seed=9)
-    assert forest_to_json_dict(a) == forest_to_json_dict(b)
+    assert a.trees == b.trees
     c = train_forest(rows, ForestParams(tree_count=12), seed=10)
-    assert forest_to_json_dict(c) != forest_to_json_dict(a)
+    assert c.trees != a.trees
 
 
 def test_single_unbootstrapped_tree_memorizes_training_data() -> None:
@@ -137,7 +133,7 @@ def test_single_unbootstrapped_tree_memorizes_training_data() -> None:
     rows = blob_rows(rng, n=60, noise=0.4)
     params = ForestParams(tree_count=1, bootstrap=False, max_features=2)
     model = train_forest(rows, params, seed=3)
-    assert all(predict_band(model, row.features) is row.label for row in rows)
+    assert evaluate_forest(model, rows).classification_accuracy == 1.0
 
 
 def test_min_leaf_equal_to_n_forces_a_stump() -> None:
@@ -151,9 +147,6 @@ def test_min_leaf_equal_to_n_forces_a_stump() -> None:
 def test_probabilities_sum_to_one_over_all_bands() -> None:
     rows = blob_rows(np.random.default_rng(5), n=90)
     model = train_forest(rows, ForestParams(tree_count=7), seed=11)
-    probs = predict_proba(model, rows[0].features)
-    assert set(probs) == set(DegreeBand)
-    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     vector = proba_vector(model, rows[0].features)
     assert vector.shape == (6,)
     assert vector.sum() == pytest.approx(1.0, abs=1e-12)
@@ -167,41 +160,23 @@ def test_proba_vector_checks_arity() -> None:
 
 
 def test_tied_leaf_counts_predict_the_worse_band() -> None:
-    doc = {
-        "format_version": 1,
-        "tree_count": 1,
-        "max_features": 1,
-        "min_leaf": 1,
-        "bootstrap": True,
-        "n_features": 1,
-        "seed": 0,
-        "trees": [{"counts": [0, 3, 0, 3, 0, 0]}],
-    }
-    model = forest_from_json_dict(doc)
+    leaf = TreeNode(None, None, None, None, (0, 3, 0, 3, 0, 0))
+    model = ForestModel(
+        trees=(leaf,),
+        params=ForestParams(tree_count=1, max_features=1),
+        resolved_max_features=1,
+        n_features=1,
+        seed=0,
+    )
+    rows = [
+        FeatureRow("S1", (0.0,), DegreeBand.PASS),
+        FeatureRow("S2", (0.0,), DegreeBand.LOWER_SECOND),
+    ]
     # PASS and LOWER_SECOND tie; ties resolve pessimistically
-    assert predict_band(model, (0.0,)) is DegreeBand.PASS
-
-
-def test_forest_json_round_trip() -> None:
-    rows = blob_rows(np.random.default_rng(7), n=80)
-    model = train_forest(rows, ForestParams(tree_count=5), seed=13)
-    doc = forest_to_json_dict(model)
-    restored = forest_from_json_dict(doc)
-    assert forest_to_json_dict(restored) == doc
-    for row in rows[:20]:
-        assert np.array_equal(
-            proba_vector(model, row.features), proba_vector(restored, row.features)
-        )
-
-
-def test_forest_json_rejects_bad_documents() -> None:
-    rows = blob_rows(np.random.default_rng(7), n=40)
-    doc = forest_to_json_dict(train_forest(rows, ForestParams(tree_count=2), seed=1))
-    with pytest.raises(ValueError):
-        forest_from_json_dict({**doc, "format_version": 2})
-    wrong_count = {**doc, "trees": doc["trees"][:1]}
-    with pytest.raises(ValueError):
-        forest_from_json_dict(wrong_count)
+    report = evaluate_forest(model, rows)
+    assert report.confusion.cells[DegreeBand.PASS][DegreeBand.PASS] == 1
+    assert report.confusion.cells[DegreeBand.LOWER_SECOND][DegreeBand.PASS] == 1
+    assert report.classification_accuracy == 0.5
 
 
 def test_bootstrap_changes_trees_but_disabling_it_does_not_break_determinism() -> None:
@@ -209,5 +184,5 @@ def test_bootstrap_changes_trees_but_disabling_it_does_not_break_determinism() -
     boot = train_forest(rows, ForestParams(tree_count=6), seed=4)
     plain_a = train_forest(rows, ForestParams(tree_count=6, bootstrap=False), seed=4)
     plain_b = train_forest(rows, ForestParams(tree_count=6, bootstrap=False), seed=4)
-    assert forest_to_json_dict(plain_a) == forest_to_json_dict(plain_b)
-    assert forest_to_json_dict(boot) != forest_to_json_dict(plain_a)
+    assert plain_a.trees == plain_b.trees
+    assert boot.trees != plain_a.trees
