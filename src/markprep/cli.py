@@ -24,6 +24,7 @@ from .evaluation import (
     ComparisonResult,
     build_feature_table,
     compare_with_without_car,
+    render_aligned_table,
     render_confusion_text,
     render_report_text,
 )
@@ -138,13 +139,30 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _read_records(path: str):
+def _read_records(path: str, refined: bool = False, warn_rejects: bool = True) -> tuple:
+    """The parse function's tuple for a transcript CSV, in the refined schema
+    when ``refined``; unreadable input or a wrong header is a usage error.
+    Rejected rows are counted on stderr, so stdout stays the report."""
     try:
-        return parse_transcript_csv(path)
+        parsed = parse_refined_transcript_csv(path) if refined else parse_transcript_csv(path)
     except OSError as exc:
         _usage_error(f"cannot read {path}: {exc}")
     except TranscriptSchemaError as exc:
-        _usage_error(str(exc))
+        _usage_error(f"{exc} (expected the refined schema written by `refine`)" if refined else str(exc))
+    report = parsed[-1]
+    if warn_rejects and report.rejected_count:
+        total = report.accepted_count + report.rejected_count
+        # `validate` reads only the canonical schema
+        details = "" if refined else "; run markprep validate for details"
+        click.echo(f"{report.rejected_count} of {total} rows rejected while parsing {path}{details}", err=True)
+    return parsed
+
+
+def _setting_name(ctx: click.Context, name: str) -> str:
+    """The flag or the config key that gave a setting, for error messages."""
+    if ctx.get_parameter_source(name) is click.core.ParameterSource.DEFAULT_MAP:
+        return f"config key {name}"
+    return "--" + name.replace("_", "-")
 
 
 def _config_option(fn):
@@ -210,12 +228,7 @@ def generate(
     """Write a deterministic synthetic cohort CSV plus its spec JSON."""
     try:
         if spec:
-            try:
-                cohort_spec = CohortSpec.from_json(Path(spec).read_text(encoding="utf-8"))
-            except OSError as exc:
-                _usage_error(f"cannot read spec {spec}: {exc}")
-            except json.JSONDecodeError as exc:
-                _usage_error(f"spec {spec} is not valid JSON: {exc}")
+            cohort_spec = CohortSpec.from_json_dict(_read_json_object(spec, f"spec {spec}"))
             if seed is not None:
                 cohort_spec = dataclasses.replace(cohort_spec, seed=seed)
             if students is not None:
@@ -289,7 +302,7 @@ def validate(
     Runs the full cleaning sequence: schema and field validation,
     duplicate handling, then the missing-mark policy.
     """
-    records, parse_report = _read_records(input_csv)
+    records, parse_report = _read_records(input_csv, warn_rejects=False)
     deduped, dedupe_report = deduplicate(records)
     policy = MissingPolicy.DROP_RECORD if missing_policy == "drop" else MissingPolicy.FLAG_ONLY
     final_records, missing_report = apply_missing_policy(deduped, policy)
@@ -355,25 +368,14 @@ def _stats_json(
 
 
 def _stats_text(table, tests: dict[str, TTestResult | None]) -> str:
-    departments = sorted(table)
-    headers = ["Department", *[_METHOD_TITLES[m] for m in _METHOD_ORDER]]
-    rows = []
-    for department in departments:
+    rows = [["Department", *[_METHOD_TITLES[m] for m in _METHOD_ORDER]]]
+    for department in sorted(table):
         row = [department]
         for method in _METHOD_ORDER:
             summary = table[department].get(method)
             row.append(f"{summary.mean:.2f}" if summary is not None else "-")
         rows.append(row)
-    widths = [
-        max(len(str(line[i])) for line in [headers, *rows]) for i in range(len(headers))
-    ]
-    lines = []
-    for line in [headers, *rows]:
-        cells = [line[0].ljust(widths[0])] + [
-            str(value).rjust(widths[i + 1]) for i, value in enumerate(line[1:])
-        ]
-        lines.append("  ".join(cells).rstrip())
-    lines.append("")
+    lines = [render_aligned_table(rows), ""]
     for name, result in tests.items():
         if result is None:
             lines.append(f"{name}: not applicable")
@@ -608,13 +610,21 @@ def refine(
     _emit(text, output)
 
 
-def _parse_predictor_years(value: str) -> tuple[int, ...]:
+def _parse_predictor_years(ctx: click.Context, value: str, target_year: int) -> tuple[int, ...]:
+    name = _setting_name(ctx, "predictor_years")
     try:
         years = tuple(int(part) for part in value.split(",") if part.strip() != "")
     except ValueError:
-        _usage_error(f"predictor years must be comma-separated integers, got {value!r}")
+        _usage_error(f"{name} must be comma-separated integers, got {value!r}")
     if not years:
-        _usage_error("predictor years must not be empty")
+        _usage_error(f"{name} must not be empty")
+    if len(set(years)) != len(years):
+        _usage_error(f"{name} {value} names a year twice")
+    if target_year in years:
+        _usage_error(
+            f"{name} {value} includes the target year {target_year} "
+            f"({_setting_name(ctx, 'target_year')}); a predictor cannot be the label's own year"
+        )
     return years
 
 
@@ -749,21 +759,16 @@ def evaluate(
 
     if input_csv is None:
         _usage_error("INPUT_CSV is required unless --from-fixture is given")
-    try:
-        records, refined_marks, _report = parse_refined_transcript_csv(input_csv)
-    except OSError as exc:
-        _usage_error(f"cannot read {input_csv}: {exc}")
-    except TranscriptSchemaError as exc:
-        _usage_error(f"{exc} (expected the refined schema written by `refine`)")
+    records, refined_marks, _report = _read_records(input_csv, refined=True)
     if not records:
         _data_error(f"no valid records in {input_csv}")
 
     banding = (ctx.default_map or {}).get("banding")
-    scheme = _parse_banding(banding) if banding else DEFAULT_BANDING
+    scheme = DEFAULT_BANDING if banding is None else _parse_banding(banding)
     table = build_feature_table(
         records,
         refined_marks=refined_marks,
-        predictor_years=_parse_predictor_years(predictor_years),
+        predictor_years=_parse_predictor_years(ctx, predictor_years, target_year),
         target_year=target_year,
         include_car=True,
         scheme=scheme,

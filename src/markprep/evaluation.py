@@ -376,6 +376,16 @@ def compare_with_without_car(
     )
 
 
+def render_aligned_table(rows: Sequence[Sequence[str]]) -> str:
+    """Text columns two spaces apart, each as wide as its widest cell: the
+    first column left-justified, the others right-justified."""
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]).rstrip()
+        for row in rows
+    )
+
+
 def render_confusion_text(
     cells: Sequence[Sequence[int]],
     class_order: Sequence[DegreeBand] = PUBLISHED_CLASS_ORDER,
@@ -402,14 +412,7 @@ def render_confusion_text(
         for i in range(len(class_order))
     ]
     footer = ["Total", *[str(c) for c in column_totals], str(grand_total)]
-    table = [header, *body, footer]
-    widths = [max(len(row[col]) for row in table) for col in range(len(header))]
-    lines = []
-    for row in table:
-        first = row[0].ljust(widths[0])
-        rest = "  ".join(cell.rjust(widths[i + 1]) for i, cell in enumerate(row[1:]))
-        lines.append(f"{first}  {rest}".rstrip())
-    return "\n".join(lines)
+    return render_aligned_table([header, *body, footer])
 
 
 def render_report_text(report: EvaluationReport) -> str:

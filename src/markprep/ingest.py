@@ -149,7 +149,8 @@ def _check_header(header: Sequence[str] | None, expected: Sequence[str]) -> None
 def _parse_row(
     row_number: int, row: Sequence[str], issues: list[ValidationIssue]
 ) -> StudentModuleOutcome | None:
-    """Validate one data row; append issues and return the record or None."""
+    """Validate one data row of the canonical columns; append issues and
+    return the record or None."""
 
     rejected = False
 
@@ -161,13 +162,6 @@ def _parse_row(
     def warn(col: str, category: IssueCategory, detail: str) -> None:
         issues.append(ValidationIssue(row_number, col, category, detail, Severity.WARN))
 
-    if len(row) != len(TRANSCRIPT_COLUMNS):
-        reject(
-            "row",
-            IssueCategory.DATA_ENTRY,
-            f"expected {len(TRANSCRIPT_COLUMNS)} fields, got {len(row)}",
-        )
-        return None
     fields = dict(zip(TRANSCRIPT_COLUMNS, row))
 
     for name in ("student_id", "department", "module_code"):
@@ -275,6 +269,53 @@ def _parse_row(
     return record
 
 
+def _parse_refined_mark(
+    row_number: int, text: str, issues: list[ValidationIssue]
+) -> float | None:
+    """Any finite number: unclamped refinement may leave [0, 100]."""
+    try:
+        return _parse_mark(text, -math.inf, math.inf)
+    except ValueError:
+        detail = f"must be a finite number, got {text!r}"
+        issues.append(
+            ValidationIssue(
+                row_number, REFINED_MARK_COLUMN, IssueCategory.DATA_ENTRY, detail, Severity.REJECT
+            )
+        )
+        return None
+
+
+def _parse_transcript(
+    source: str | Path | IO, refined: bool
+) -> tuple[list[StudentModuleOutcome], list[float], IngestReport]:
+    """The row loop of both schemas; the refined marks stay empty unless
+    ``refined``."""
+    columns = TRANSCRIPT_COLUMNS + ((REFINED_MARK_COLUMN,) if refined else ())
+    reader = csv.reader(io.StringIO(_read_text(source), newline=""))
+    _check_header(next(reader, None), columns)
+
+    records: list[StudentModuleOutcome] = []
+    refined_marks: list[float] = []
+    issues: list[ValidationIssue] = []
+    total = 0
+    for row_number, row in enumerate(reader, start=1):
+        total += 1
+        if len(row) != len(columns):
+            detail = f"expected {len(columns)} fields, got {len(row)}"
+            issues.append(
+                ValidationIssue(row_number, "row", IssueCategory.DATA_ENTRY, detail, Severity.REJECT)
+            )
+            continue
+        refined_mark = _parse_refined_mark(row_number, row.pop(), issues) if refined else None
+        record = _parse_row(row_number, row, issues)
+        if record is None or (refined and refined_mark is None):
+            continue
+        records.append(record)
+        if refined:
+            refined_marks.append(refined_mark)
+    return records, refined_marks, IngestReport(len(records), total - len(records), tuple(issues))
+
+
 def parse_transcript_csv(
     source: str | Path | IO,
 ) -> tuple[list[StudentModuleOutcome], IngestReport]:
@@ -284,20 +325,7 @@ def parse_transcript_csv(
     Unreadable input raises OSError; a bad header raises
     TranscriptSchemaError.
     """
-    text = _read_text(source)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    _check_header(header, TRANSCRIPT_COLUMNS)
-
-    records: list[StudentModuleOutcome] = []
-    issues: list[ValidationIssue] = []
-    total = 0
-    for row_number, row in enumerate(reader, start=1):
-        total += 1
-        record = _parse_row(row_number, row, issues)
-        if record is not None:
-            records.append(record)
-    report = IngestReport(len(records), total - len(records), tuple(issues))
+    records, _, report = _parse_transcript(source, refined=False)
     return records, report
 
 
@@ -307,53 +335,9 @@ def parse_refined_transcript_csv(
     """Parse the refined-transcript schema: canonical columns plus a
     trailing refined mark.
 
-    Refined marks are not range-checked; unclamped refinement may leave
-    [0, 100].  Returns (records, refined marks aligned to records, report).
+    Returns (records, refined marks aligned to records, report).
     """
-    text = _read_text(source)
-    expected = TRANSCRIPT_COLUMNS + (REFINED_MARK_COLUMN,)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    _check_header(header, expected)
-
-    records: list[StudentModuleOutcome] = []
-    refined: list[float] = []
-    issues: list[ValidationIssue] = []
-    total = 0
-    for row_number, row in enumerate(reader, start=1):
-        total += 1
-        if len(row) != len(expected):
-            issues.append(
-                ValidationIssue(
-                    row_number,
-                    "row",
-                    IssueCategory.DATA_ENTRY,
-                    f"expected {len(expected)} fields, got {len(row)}",
-                    Severity.REJECT,
-                )
-            )
-            continue
-        refined_value: float | None = None
-        try:
-            refined_value = float(row[-1])
-            if not math.isfinite(refined_value):
-                raise ValueError
-        except ValueError:
-            issues.append(
-                ValidationIssue(
-                    row_number,
-                    REFINED_MARK_COLUMN,
-                    IssueCategory.DATA_ENTRY,
-                    f"must be a finite number, got {row[-1]!r}",
-                    Severity.REJECT,
-                )
-            )
-        record = _parse_row(row_number, row[:-1], issues)
-        if record is not None and refined_value is not None:
-            records.append(record)
-            refined.append(refined_value)
-    report = IngestReport(len(records), total - len(records), tuple(issues))
-    return records, refined, report
+    return _parse_transcript(source, refined=True)
 
 
 def apply_missing_policy(

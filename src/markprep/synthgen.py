@@ -20,6 +20,7 @@ for a bounded uniform spread d, where we and wc are the weight fractions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .core import AssessmentWeighting, StudentModuleOutcome
@@ -38,6 +39,17 @@ class CohortSpecError(ValueError):
     """Raised for specs that cannot describe a generatable cohort."""
 
 
+def _check_count(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise CohortSpecError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def _json_list(data: dict, name: str) -> tuple:
+    if not isinstance(data[name], list):
+        raise CohortSpecError(f"{name} must be a JSON list, got {data[name]!r}")
+    return tuple(data[name])
+
+
 @dataclass(frozen=True, slots=True)
 class DepartmentProfile:
     code: str
@@ -47,30 +59,24 @@ class DepartmentProfile:
     years: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self) -> None:
-        if not self.code:
-            raise CohortSpecError("department code must be non-empty")
-        if self.student_count < 0:
-            raise CohortSpecError(f"student_count must be >= 0, got {self.student_count}")
-        if self.modules_per_student_per_year < 0:
-            raise CohortSpecError(
-                "modules_per_student_per_year must be >= 0, got "
-                f"{self.modules_per_student_per_year}"
-            )
+        if not isinstance(self.code, str) or not self.code:
+            raise CohortSpecError(f"department code must be a non-empty string, got {self.code!r}")
+        _check_count("student_count", self.student_count)
+        _check_count("modules_per_student_per_year", self.modules_per_student_per_year)
         if not self.cw_weight_classes:
             raise CohortSpecError("cw_weight_classes must be non-empty")
         for weight in self.cw_weight_classes:
-            if not isinstance(weight, int) or isinstance(weight, bool):
-                raise CohortSpecError(f"weight class must be an integer, got {weight!r}")
-            if not 0 <= weight <= 100:
-                raise CohortSpecError(f"weight class out of [0, 100]: {weight}")
+            _check_count("cw_weight_classes entry", weight)
+            if weight > 100:
+                raise CohortSpecError(f"cw_weight_classes entry out of [0, 100]: {weight}")
         if len(set(self.cw_weight_classes)) != len(self.cw_weight_classes):
             raise CohortSpecError("weight classes must be distinct")
         if tuple(sorted(self.cw_weight_classes)) != self.cw_weight_classes:
             raise CohortSpecError("weight classes must be sorted ascending")
         if not self.years:
             raise CohortSpecError("years must be non-empty")
-        if any(year < 0 for year in self.years):
-            raise CohortSpecError("years must be non-negative")
+        for year in self.years:
+            _check_count("years entry", year)
         if tuple(sorted(self.years)) != self.years:
             raise CohortSpecError("years must be sorted ascending")
 
@@ -85,6 +91,8 @@ class DepartmentProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DepartmentProfile":
+        if not isinstance(data, dict):
+            raise CohortSpecError(f"a department must be a JSON object, got {data!r}")
         expected = {
             "code",
             "student_count",
@@ -99,11 +107,11 @@ class DepartmentProfile:
         if missing:
             raise CohortSpecError(f"missing department fields: {sorted(missing)}")
         return cls(
-            code=str(data["code"]),
-            student_count=int(data["student_count"]),
-            modules_per_student_per_year=int(data["modules_per_student_per_year"]),
-            cw_weight_classes=tuple(int(w) for w in data["cw_weight_classes"]),
-            years=tuple(int(y) for y in data["years"]),
+            code=data["code"],
+            student_count=data["student_count"],
+            modules_per_student_per_year=data["modules_per_student_per_year"],
+            cw_weight_classes=_json_list(data, "cw_weight_classes"),
+            years=_json_list(data, "years"),
         )
 
 
@@ -118,8 +126,14 @@ class CohortSpec:
     effect_quadratic: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
+        _check_count("seed", self.seed)
+        if self.seed >= 2**64:
             raise CohortSpecError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        for name in ("noise_sd", "ability_mean", "ability_sd", "effect_linear", "effect_quadratic"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+                raise CohortSpecError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.noise_sd < 0 or self.ability_sd < 0:
             raise CohortSpecError("standard deviations must be non-negative")
         productive = any(
@@ -158,30 +172,13 @@ class CohortSpec:
             raise CohortSpecError(f"unknown spec fields: {sorted(unknown)}")
         if "seed" not in data or "departments" not in data:
             raise CohortSpecError("spec requires 'seed' and 'departments'")
-        defaults = cls.__dataclass_fields__
+        departments = _json_list(data, "departments")
         return cls(
-            departments=tuple(
-                DepartmentProfile.from_json_dict(d) for d in data["departments"]
-            ),
-            seed=int(data["seed"]),
-            noise_sd=float(data.get("noise_sd", defaults["noise_sd"].default)),
-            ability_mean=float(data.get("ability_mean", defaults["ability_mean"].default)),
-            ability_sd=float(data.get("ability_sd", defaults["ability_sd"].default)),
-            effect_linear=float(data.get("effect_linear", defaults["effect_linear"].default)),
-            effect_quadratic=float(
-                data.get("effect_quadratic", defaults["effect_quadratic"].default)
-            ),
+            **{**data, "departments": tuple(DepartmentProfile.from_json_dict(d) for d in departments)}
         )
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "CohortSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise CohortSpecError("spec JSON must be an object")
-        return cls.from_json_dict(data)
 
 
 def default_cohort_spec(seed: int, student_count: int = 406) -> CohortSpec:

@@ -77,6 +77,40 @@ def test_validate_rejects_bad_rows(tmp_path: Path) -> None:
     assert "1 of 2 input rows accepted" in output
 
 
+def with_row_replaced(path: Path, index: int, column: int, value: str, name: str) -> Path:
+    """A copy of a transcript CSV with one cell of data row ``index`` replaced."""
+    header, *rows = path.read_text().splitlines()
+    cells = rows[index].split(",")
+    cells[column] = value
+    rows[index] = ",".join(cells)
+    copy = path.with_name(name)
+    copy.write_text("\n".join([header, *rows]) + "\n")
+    return copy
+
+
+def test_commands_count_rejected_rows_on_stderr(cohort: Path, refined: Path) -> None:
+    # column 4 is module_mark, the last column the refined mark
+    dirty = with_row_replaced(cohort, 3, 4, "150", "dirty.csv")
+    line = f"1 of 1200 rows rejected while parsing {dirty}; run markprep validate for details\n"
+    for command in ("stats", "refine"):
+        result = runner.invoke(main, [command, str(dirty), "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == line
+        assert "rejected" not in result.stdout
+    # `validate` lists the issues on stdout instead
+    result = runner.invoke(main, ["validate", str(dirty)])
+    assert result.exit_code == 1
+    assert result.stderr == ""
+    spoiled = with_row_replaced(refined, 3, -1, "n/a", "spoiled.refined.csv")
+    result = runner.invoke(main, ["evaluate", str(spoiled), "--trees", "5", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == f"1 of 1200 rows rejected while parsing {spoiled}\n"
+    assert json.loads(result.stdout)["auc_delta"] is not None
+    # clean input says nothing
+    result = runner.invoke(main, ["stats", str(cohort)])
+    assert result.stderr == ""
+
+
 def test_validate_missing_file_is_usage_error() -> None:
     run("validate", "/nonexistent/input.csv", expect=2)
 
@@ -294,6 +328,9 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
     run("stats", str(cohort), "--variant", "bayes", expect=2)
     run("evaluate", str(refined), "--jobs", "2", expect=2)
     run("evaluate", str(refined), "--test-fraction", "1.5", expect=2)
+    # a predictor year may be neither the label's own year nor repeated
+    run("evaluate", str(refined), "--predictor-years", "1,3", "--target-year", "3", expect=2)
+    run("evaluate", str(refined), "--predictor-years", "1,2,2", expect=2)
     # three features with the default predictor years
     run("evaluate", str(refined), "--trees", "3", "--max-features", "3")
     run("evaluate", str(refined), "--max-features", "4", expect=2)
@@ -309,6 +346,9 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
         ("stats", {"variant": "bayes"}),
         ("refine", {"clamp": "maybe"}),
         ("evaluate", {"test_fraction": 1.5}),
+        ("evaluate", {"predictor_years": "1,3"}),
+        ("evaluate", {"predictor_years": "1,2,2"}),
+        ("evaluate", {"banding": []}),
     ],
 )
 def test_bad_config_value_is_usage_error(
@@ -321,6 +361,41 @@ def test_bad_config_value_is_usage_error(
     assert result.exit_code == 2, result.output
     (key,) = config
     assert key in result.output
+
+
+def test_evaluate_config_banding_scheme(refined: Path, tmp_path: Path) -> None:
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"banding": [[0, "Fail"], [50, "First"]]}))
+    args = ("evaluate", str(refined), "--trees", "8", "--format", "json")
+    doc = json.loads(run(*args, "--config", str(config)))
+    assert doc != json.loads(run(*args))
+    # only the two configured bands can be true classes
+    matrix = doc["with_car"]["confusion"]
+    row_totals = dict(zip(matrix["class_order"], map(sum, matrix["cells"])))
+    assert {band for band, total in row_totals.items() if total} <= {"FAIL", "FIRST"}
+
+
+@pytest.mark.parametrize(
+    ("edit", "field"),
+    [
+        (lambda spec: spec["departments"][0].update(student_count="abc"), "student_count"),
+        (lambda spec: spec.update(seed="x"), "seed"),
+        (lambda spec: spec.update(departments=5), "departments"),
+        (lambda spec: spec["departments"][0].update(cw_weight_classes=[0, 10.5]), "cw_weight_classes"),
+        (lambda spec: spec.update(noise_sd="big"), "noise_sd"),
+    ],
+    ids=["count-abc", "seed-x", "departments-5", "weight-10.5", "noise-big"],
+)
+def test_generate_bad_spec_value_is_usage_error(cohort: Path, tmp_path: Path, edit, field: str) -> None:
+    spec = json.loads(cohort.with_suffix(".spec.json").read_text())
+    edit(spec)
+    path = tmp_path / "bad.spec.json"
+    path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["generate", "--spec", str(path), "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert field in result.output
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_flag_values_parse_like_flags(tmp_path: Path) -> None:

@@ -1,9 +1,11 @@
 """Golden digests: the CLI's byte-for-byte determinism contract.
 
 Every digest below is the SHA-256 of one command's stdout or of one file
-it writes, for the seed-17, 60-student cohort.  A refactor that should be
-output-neutral must leave all of them unchanged; a deliberate output
-change updates the digest it moves and says why.
+it writes, for the seed-17, 60-student cohort (``GOLDEN``) and for a
+dirty copy of it that runs every reject path of the readers
+(``GOLDEN_DIRTY``).  A refactor that should be output-neutral must leave
+all of them unchanged; a deliberate output change updates the digest it
+moves and says why.
 """
 from __future__ import annotations
 
@@ -47,11 +49,33 @@ GOLDEN = {
     "validate.text": "c85ea6a66a0e03bef679281bd03469cc6f198b2a578cfadeea381258e42cbbdc",
 }
 
+GOLDEN_DIRTY = {
+    "evaluate.csv": "62b3e2f7eeee9aba2f8492fdf3ba0a89093eaffc8b8bba267fb4596d9cc9acc7",
+    "evaluate.json": "38f6c0c8004ef697a789410b2996d1949516b2e7d5140317a80f4b1eb428508f",
+    "evaluate.text": "308b21124509e7699a3c5e067373f9c2a8c40c6e90d4633749d90ae18fd925c8",
+    "per_department.model.json": "bbc88a44dc5654592abfe47d4c5f63c059c7cd2a7c36b076df819c0ef1993045",
+    "per_department.refined.csv": "b0162794478e7d44a4091fbd12b1a2c996f179e8486665528d42fb171be65a35",
+    "pooled.model.json": "b4fab20e51c361584aaa0b2c248c7b3b7a9e5418914c93ecdb57879004eef71d",
+    "pooled.refined.csv": "b0162794478e7d44a4091fbd12b1a2c996f179e8486665528d42fb171be65a35",
+    "refine.per_department.csv": "225023df8def5e757869c27b8c8b749f47f109edc42d364aa174b84d814f12a4",
+    "refine.per_department.json": "a6e1c173556975a7b04839b84e0103b75823f42086b335c859b56c9c8c4d5629",
+    "refine.per_department.text": "8b657072f60cee9331203a364b2926fb13a338728a0bf46e5357cd031cc3ef3b",
+    "refine.pooled.csv": "f53658b9cceac4e1ecf91f9006f68d304fe8653332d21565719acfaad476c417",
+    "refine.pooled.json": "ac80a69d0845363af4fa8ea159ee4c7c402b6e8e34931f7ffa2e4915d9ffaaea",
+    "refine.pooled.text": "c4235d117a2be64300983dd2a08d2549981cc7d996232792565ec02312c4b048",
+    "stats.csv": "5b8005a4d1b2fa4f45a45326201b5f11a9168107f518e2c0e64a3374a5d55d76",
+    "stats.json": "b05c8dd1ddb071e22e59d4a82f2b2c2915d81f39dcf46b722ca5620386ea5eca",
+    "stats.text": "66fde8c835c7017f62836fbdde42fa7dacfa9b490757878346c35f243bb64318",
+    "validate.csv": "befd13f95bed7394c08eed0d844e352b1898c880cdc4ce80622722d9788f0d57",
+    "validate.json": "ff976cb637f51e822151069a67750a701fd2b36574b78bf69cd7719c9bc8e9ba",
+    "validate.text": "247866faae6c5c68376166fa707684754c91a753fc65ae062cf0e2156bdcbda2",
+}
 
-def run(*args: str) -> str:
+
+def run(*args: str, expect: int = 0) -> str:
     result = runner.invoke(main, list(args))
-    assert result.exit_code == 0, result.output
-    return result.output
+    assert result.exit_code == expect, result.output
+    return result.stdout
 
 
 def collect_outputs() -> dict[str, bytes]:
@@ -78,11 +102,60 @@ def collect_outputs() -> dict[str, bytes]:
     return outputs
 
 
+def write_dirty_copy(cohort: Path) -> None:
+    """``dirty.csv``: the cohort with an out-of-range mark, an exact and a
+    conflicting duplicate, a blank weighted component and a short row."""
+    header, *lines = cohort.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    rows[4][4] = "150"  # module_mark
+    blank = next(i for i, row in enumerate(rows) if i >= 30 and "" not in row)
+    rows[blank][5] = ""  # exam_mark, weighted since no cell was blank
+    rows[40] = rows[40][:8]
+    rows += [rows[10], [*rows[20][:4], "1.5", *rows[20][5:]]]
+    Path("dirty.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+
+
+def collect_dirty_outputs() -> dict[str, bytes]:
+    """The read paths on ``dirty.csv``; ``dirty.refined.csv`` also carries a
+    non-numeric refined mark."""
+    run("generate", "--seed", "17", "--students", "60")
+    write_dirty_copy(Path("cohort.csv"))
+    outputs = {}
+    for fmt in FORMATS:
+        outputs[f"validate.{fmt}"] = run("validate", "dirty.csv", "--format", fmt, expect=1).encode()
+        outputs[f"stats.{fmt}"] = run("stats", "dirty.csv", "--format", fmt).encode()
+    for scope, flags in (("pooled", ()), ("per_department", ("--per-department",))):
+        refined, model = f"{scope}.refined.csv", f"{scope}.model.json"
+        for fmt in FORMATS:
+            outputs[f"refine.{scope}.{fmt}"] = run(
+                "refine", "dirty.csv", *flags, "--format", fmt,
+                "--out", refined, "--model-out", model,
+            ).encode()
+        outputs[refined] = Path(refined).read_bytes()
+        outputs[model] = Path(model).read_bytes()
+    header, *lines = Path("pooled.refined.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    rows[7][-1] = "n/a"  # refined_module_mark
+    Path("dirty.refined.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    for fmt in FORMATS:
+        outputs[f"evaluate.{fmt}"] = run(
+            "evaluate", "dirty.refined.csv", "--trees", "15", "--format", fmt
+        ).encode()
+    return outputs
+
+
 def test_cli_outputs_match_golden_digests(tmp_path: Path) -> None:
     with runner.isolated_filesystem(temp_dir=tmp_path):
         outputs = collect_outputs()
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN
+
+
+def test_dirty_cli_outputs_match_golden_digests(tmp_path: Path) -> None:
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        outputs = collect_dirty_outputs()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == GOLDEN_DIRTY
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

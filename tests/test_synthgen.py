@@ -1,6 +1,8 @@
 """Seeded synthetic cohorts: determinism, invariants, spec round trips."""
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from markprep import (
@@ -135,7 +137,7 @@ def test_spec_json_round_trip() -> None:
     spec = small_spec()
     text = spec.to_json()
     assert text.endswith("\n")
-    assert CohortSpec.from_json(text) == spec
+    assert CohortSpec.from_json_dict(json.loads(text)) == spec
 
 
 def test_spec_json_rejects_unknown_and_missing_keys() -> None:
