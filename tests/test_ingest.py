@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -212,3 +213,89 @@ def test_refined_schema_requires_extra_column(tmp_path: Path) -> None:
     write_transcript_csv([make_outcome()], path)
     with pytest.raises(TranscriptSchemaError):
         parse_refined_transcript_csv(path)
+
+
+# The parser's whole error behaviour, pinned: every column of both schemas
+# takes every value of GRID_VALUES on an otherwise valid row, and
+# GRID_CASES add weight sums, marks on zero-weight components, the
+# recombination tolerance, rows wrong in every field at once and rows of
+# the wrong length.
+# ``ingest_error_grid.json`` holds the issues and records the parser gave
+# when the grid was written; a change to any check, message or issue order
+# shows up here.
+GRID_BASE = ("S1", "CS", "1", "M1", "60.0", "58.0", "62.0", "50", "50")
+GRID_REFINED_MARK = "57.5"
+GRID_VALUES = ("", "abc", "nan", "inf", "1e400", "-1", "101", " 5", "+3", "3_0", "5.0")
+GRID_CASES = (
+    ("S1", "CS", "1", "M1", "60.0", "58.0", "62.0", "55", "50"),  # weights sum to 105
+    ("S1", "CS", "1", "M1", "60.0", "58.0", "62.0", "40", "50"),  # weights sum to 90
+    ("S1", "CS", "1", "M1", "60.0", "", "", "0", "0"),  # weights sum to 0
+    ("S1", "CS", "1", "M1", "62.0", "58.0", "62.0", "0", "100"),  # exam mark, zero weight
+    ("S1", "CS", "1", "M1", "58.0", "58.0", "62.0", "100", "0"),  # coursework mark, zero weight
+    ("S1", "CS", "1", "M1", "58.0", "58.0", "", "100", "0"),  # exam only
+    ("S1", "CS", "1", "M1", "62.0", "", "62.0", "0", "100"),  # coursework only
+    ("S1", "CS", "1", "M1", "60.0", "", "", "50", "50"),  # both weighted marks missing
+    ("S1", "CS", "1", "M1", repr(60.0 + RECOMBINATION_TOLERANCE), "58.0", "62.0", "50", "50"),
+    ("S1", "CS", "1", "M1", repr(60.0 - RECOMBINATION_TOLERANCE), "58.0", "62.0", "50", "50"),
+    ("S1", "CS", "1", "M1", "60.051", "58.0", "62.0", "50", "50"),  # just past the tolerance
+    ("S1", "CS", "1", "M1", "59.949", "58.0", "62.0", "50", "50"),
+    ("S1", "CS", "1", "M1", "60.0", "-0", "-0.0", "50", "50"),  # components recombine to -0.0
+    ("S1", "CS", "1", "M1", "58.5", "57", "59.0", "25", "75"),  # 0.25*57 + 0.75*59 = 58.5
+    ("", "", "x", "", "abc", "nan", "101", "-1", "y"),  # every field wrong
+    ("", "", "", "", "", "", "", "", ""),
+    ("S1", "CS", "1", "M1", "60.0", "58.0", "62.0", "50"),  # one field short
+    ("S1", "CS", "1", "M1", "60.0", "58.0", "62.0", "50", "50", "50"),  # one field over
+)
+
+
+def grid_rows(refined: bool) -> list[tuple[str, ...]]:
+    base = GRID_BASE + ((GRID_REFINED_MARK,) if refined else ())
+    rows = [
+        base[:column] + (value,) + base[column + 1:]
+        for column in range(len(base))
+        for value in GRID_VALUES
+    ]
+    extra = (GRID_REFINED_MARK,) if refined else ()
+    return rows + [case + extra for case in GRID_CASES]
+
+
+def grid_outcome(refined: bool) -> dict:
+    text = io.StringIO()
+    columns = TRANSCRIPT_COLUMNS + (("refined_module_mark",) if refined else ())
+    text.write(",".join(columns) + "\n")
+    for row in grid_rows(refined):
+        text.write(",".join(row) + "\n")
+    text.seek(0)
+    if refined:
+        records, marks, report = parse_refined_transcript_csv(text)
+    else:
+        (records, report), marks = parse_transcript_csv(text), []
+    return {
+        "accepted": report.accepted_count,
+        "rejected": report.rejected_count,
+        "issues": [
+            [i.row_number, i.field, i.category.value, i.severity.value, i.detail]
+            for i in report.issues
+        ],
+        "records": [
+            [
+                r.student_id, r.department, r.year_level, r.module_code,
+                r.module_mark, r.exam_mark, r.cswk_mark,
+                r.weighting.exam_weight, r.weighting.coursework_weight,
+            ]
+            for r in records
+        ],
+        "refined_marks": marks,
+    }
+
+
+@pytest.mark.parametrize("schema", ["canonical", "refined"])
+def test_error_grid_matches_recorded_behaviour(schema: str) -> None:
+    expected = json.loads((Path(__file__).parent / "ingest_error_grid.json").read_text())[schema]
+    got = grid_outcome(refined=schema == "refined")
+
+    def lines(value):
+        # through JSON, so that an int and a float of equal value differ
+        return [json.dumps(item) for item in value] if isinstance(value, list) else value
+
+    assert {k: lines(v) for k, v in got.items()} == {k: lines(v) for k, v in expected.items()}
