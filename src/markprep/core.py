@@ -126,14 +126,16 @@ class StudentModuleOutcome:
             raise ValueError(f"year_level must be >= 0, got {self.year_level}")
         if not 0.0 <= self.module_mark <= 100.0:
             raise ValueError(f"module_mark must lie in [0, 100], got {self.module_mark!r}")
-        for name, mark, weight in (
-            ("exam_mark", self.exam_mark, self.weighting.exam_weight),
-            ("cswk_mark", self.cswk_mark, self.weighting.coursework_weight),
-        ):
-            if weight == 0 and mark is not None:
-                raise ValueError(f"{name} must be absent when its weight is 0")
-            if mark is not None and not 0.0 <= mark <= 100.0:
-                raise ValueError(f"{name} must lie in [0, 100], got {mark!r}")
+        if self.exam_mark is not None:
+            if self.weighting.exam_weight == 0:
+                raise ValueError("exam_mark must be absent when its weight is 0")
+            if not 0.0 <= self.exam_mark <= 100.0:
+                raise ValueError(f"exam_mark must lie in [0, 100], got {self.exam_mark!r}")
+        if self.cswk_mark is not None:
+            if self.weighting.coursework_weight == 0:
+                raise ValueError("cswk_mark must be absent when its weight is 0")
+            if not 0.0 <= self.cswk_mark <= 100.0:
+                raise ValueError(f"cswk_mark must lie in [0, 100], got {self.cswk_mark!r}")
 
     @property
     def missing_component_fields(self) -> tuple[str, ...]:

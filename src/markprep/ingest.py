@@ -146,125 +146,124 @@ def _check_header(header: Sequence[str] | None, expected: Sequence[str]) -> None
         )
 
 
+# Rows with the same split share one weighting.  A split is two
+# non-negative integers summing to 100, so this holds at most 101 entries.
+_WEIGHTINGS: dict[tuple[int, int], AssessmentWeighting] = {}
+
+
+def _parse_count(text: str) -> int | None:
+    """A non-negative integer, or None when ``text`` is not one."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 0 else None
+
+
+def _reject(
+    issues: list[ValidationIssue],
+    row_number: int,
+    column: str,
+    detail: str,
+    category: IssueCategory = IssueCategory.DATA_ENTRY,
+) -> None:
+    issues.append(ValidationIssue(row_number, column, category, detail, Severity.REJECT))
+
+
 def _parse_row(
     row_number: int, row: Sequence[str], issues: list[ValidationIssue]
 ) -> StudentModuleOutcome | None:
     """Validate one data row of the canonical columns; append issues and
     return the record or None."""
+    (
+        student_id, department, year_text, module_code, module_text,
+        exam_text, cswk_text, exam_weight_text, cswk_weight_text,
+    ) = row
+    # Only rejects are appended until the record is built, so any issue
+    # past this mark rejects the row.
+    first_issue = len(issues)
 
-    rejected = False
+    if not student_id:
+        _reject(issues, row_number, "student_id", "required field is empty")
+    if not department:
+        _reject(issues, row_number, "department", "required field is empty")
+    if not module_code:
+        _reject(issues, row_number, "module_code", "required field is empty")
 
-    def reject(col: str, category: IssueCategory, detail: str) -> None:
-        nonlocal rejected
-        rejected = True
-        issues.append(ValidationIssue(row_number, col, category, detail, Severity.REJECT))
+    year_level = _parse_count(year_text)
+    if year_level is None:
+        _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
 
-    def warn(col: str, category: IssueCategory, detail: str) -> None:
-        issues.append(ValidationIssue(row_number, col, category, detail, Severity.WARN))
-
-    fields = dict(zip(TRANSCRIPT_COLUMNS, row))
-
-    for name in ("student_id", "department", "module_code"):
-        if fields[name] == "":
-            reject(name, IssueCategory.DATA_ENTRY, "required field is empty")
-
-    year_level = None
     try:
-        year_level = int(fields["year_level"])
-        if year_level < 0:
-            raise ValueError("negative")
-    except ValueError:
-        reject(
-            "year_level",
-            IssueCategory.DATA_ENTRY,
-            f"must be a non-negative integer, got {fields['year_level']!r}",
-        )
-
-    module_mark = None
-    try:
-        module_mark = _parse_mark(fields["module_mark"])
+        module_mark = _parse_mark(module_text)
     except ValueError as exc:
-        reject("module_mark", IssueCategory.DATA_ENTRY, str(exc))
+        _reject(issues, row_number, "module_mark", str(exc))
 
-    component_marks: dict[str, float | None] = {}
-    for name in ("exam_mark", "cswk_mark"):
-        if fields[name] == "":
-            component_marks[name] = None
-            continue
+    # a blank component mark is missing, not malformed
+    exam_mark = cswk_mark = None
+    if exam_text:
         try:
-            component_marks[name] = _parse_mark(fields[name])
+            exam_mark = _parse_mark(exam_text)
         except ValueError as exc:
-            component_marks[name] = None
-            reject(name, IssueCategory.DATA_ENTRY, str(exc))
-
-    weights: dict[str, int | None] = {}
-    for name in ("exam_weight", "cswk_weight"):
+            _reject(issues, row_number, "exam_mark", str(exc))
+    if cswk_text:
         try:
-            weight = int(fields[name])
-            if weight < 0:
-                raise ValueError("negative")
-            weights[name] = weight
-        except ValueError:
-            weights[name] = None
-            reject(
-                name,
-                IssueCategory.DATA_ENTRY,
-                f"must be a non-negative integer, got {fields[name]!r}",
-            )
-    if weights["exam_weight"] is not None and weights["cswk_weight"] is not None:
-        total = weights["exam_weight"] + weights["cswk_weight"]
-        if total != 100:
-            reject(
-                "cswk_weight",
-                IssueCategory.DATA_ENTRY,
-                f"weights sum to {total}, not 100",
-            )
-        else:
-            for weight_name, mark_name in (
-                ("exam_weight", "exam_mark"),
-                ("cswk_weight", "cswk_mark"),
-            ):
-                if weights[weight_name] == 0 and fields[mark_name] != "":
-                    reject(
-                        mark_name,
-                        IssueCategory.MEASUREMENT,
-                        "mark recorded for a component with zero weight",
-                    )
+            cswk_mark = _parse_mark(cswk_text)
+        except ValueError as exc:
+            _reject(issues, row_number, "cswk_mark", str(exc))
 
-    if rejected:
+    exam_weight = _parse_count(exam_weight_text)
+    if exam_weight is None:
+        _reject(
+            issues, row_number, "exam_weight", f"must be a non-negative integer, got {exam_weight_text!r}"
+        )
+    cswk_weight = _parse_count(cswk_weight_text)
+    if cswk_weight is None:
+        _reject(
+            issues, row_number, "cswk_weight", f"must be a non-negative integer, got {cswk_weight_text!r}"
+        )
+    if exam_weight is not None and cswk_weight is not None:
+        if exam_weight + cswk_weight != 100:
+            _reject(issues, row_number, "cswk_weight", f"weights sum to {exam_weight + cswk_weight}, not 100")
+        else:
+            zero_weight = "mark recorded for a component with zero weight"
+            if exam_weight == 0 and exam_text:
+                _reject(issues, row_number, "exam_mark", zero_weight, IssueCategory.MEASUREMENT)
+            if cswk_weight == 0 and cswk_text:
+                _reject(issues, row_number, "cswk_mark", zero_weight, IssueCategory.MEASUREMENT)
+
+    if len(issues) > first_issue:
         return None
 
+    weighting = _WEIGHTINGS.get((exam_weight, cswk_weight))
+    if weighting is None:
+        weighting = _WEIGHTINGS[exam_weight, cswk_weight] = AssessmentWeighting(exam_weight, cswk_weight)
     record = StudentModuleOutcome(
-        student_id=fields["student_id"],
-        department=fields["department"],
+        student_id=student_id,
+        department=department,
         year_level=year_level,
-        module_code=fields["module_code"],
+        module_code=module_code,
         module_mark=module_mark,
-        exam_mark=component_marks["exam_mark"],
-        cswk_mark=component_marks["cswk_mark"],
-        weighting=AssessmentWeighting(weights["exam_weight"], weights["cswk_weight"]),
+        exam_mark=exam_mark,
+        cswk_mark=cswk_mark,
+        weighting=weighting,
     )
 
     # Recombination check: if every weighted component mark is present, the
-    # weighted mean should reproduce the stored module mark.
-    weighted_parts = []
-    for mark_name, weight in (
-        ("exam_mark", record.weighting.exam_weight),
-        ("cswk_mark", record.weighting.coursework_weight),
-    ):
-        if weight > 0:
-            mark = component_marks[mark_name]
-            if mark is None:
-                break
-            weighted_parts.append(weight * mark)
-    else:
-        combined = sum(weighted_parts) / 100.0
-        if abs(combined - record.module_mark) > RECOMBINATION_TOLERANCE:
-            warn(
-                "module_mark",
-                IssueCategory.DISTILLATION,
-                f"weighted components give {combined:.2f}, module mark is "
-                f"{record.module_mark:g}",
+    # weighted mean should reproduce the stored module mark.  A zero-weight
+    # component has no mark by now, so the marks present are the weighted
+    # ones.
+    if (exam_mark is not None or not exam_weight) and (cswk_mark is not None or not cswk_weight):
+        combined = 0  # an int start, like sum(): -0.0 parts give 0.0
+        if exam_mark is not None:
+            combined += exam_weight * exam_mark
+        if cswk_mark is not None:
+            combined += cswk_weight * cswk_mark
+        combined /= 100.0
+        if abs(combined - module_mark) > RECOMBINATION_TOLERANCE:
+            detail = f"weighted components give {combined:.2f}, module mark is {module_mark:g}"
+            issues.append(
+                ValidationIssue(row_number, "module_mark", IssueCategory.DISTILLATION, detail, Severity.WARN)
             )
     return record
 
@@ -276,12 +275,7 @@ def _parse_refined_mark(
     try:
         return _parse_mark(text, -math.inf, math.inf)
     except ValueError:
-        detail = f"must be a finite number, got {text!r}"
-        issues.append(
-            ValidationIssue(
-                row_number, REFINED_MARK_COLUMN, IssueCategory.DATA_ENTRY, detail, Severity.REJECT
-            )
-        )
+        _reject(issues, row_number, REFINED_MARK_COLUMN, f"must be a finite number, got {text!r}")
         return None
 
 
@@ -297,14 +291,10 @@ def _parse_transcript(
     records: list[StudentModuleOutcome] = []
     refined_marks: list[float] = []
     issues: list[ValidationIssue] = []
-    total = 0
+    row_number = 0  # ends as the count of data rows
     for row_number, row in enumerate(reader, start=1):
-        total += 1
         if len(row) != len(columns):
-            detail = f"expected {len(columns)} fields, got {len(row)}"
-            issues.append(
-                ValidationIssue(row_number, "row", IssueCategory.DATA_ENTRY, detail, Severity.REJECT)
-            )
+            _reject(issues, row_number, "row", f"expected {len(columns)} fields, got {len(row)}")
             continue
         refined_mark = _parse_refined_mark(row_number, row.pop(), issues) if refined else None
         record = _parse_row(row_number, row, issues)
@@ -313,7 +303,7 @@ def _parse_transcript(
         records.append(record)
         if refined:
             refined_marks.append(refined_mark)
-    return records, refined_marks, IngestReport(len(records), total - len(records), tuple(issues))
+    return records, refined_marks, IngestReport(len(records), row_number - len(records), tuple(issues))
 
 
 def parse_transcript_csv(
