@@ -303,16 +303,23 @@ def validate(
     duplicate handling, then the missing-mark policy.
     """
     records, parse_report = _read_records(input_csv, warn_rejects=False)
-    deduped, dedupe_report = deduplicate(records)
+    total_rows = parse_report.accepted_count + parse_report.rejected_count
+    # Every stage names CSV data rows: a row the parse rejected has a
+    # reject issue, and every deduplicate issue drops its record.
+    rejected = {issue.row_number for issue in parse_report.reject_issues}
+    rows = [n for n in range(1, total_rows + 1) if n not in rejected]
+    deduped, dedupe_report = deduplicate(records, row_numbers=rows)
+    dropped = {issue.row_number for issue in dedupe_report.issues}
     policy = MissingPolicy.DROP_RECORD if missing_policy == "drop" else MissingPolicy.FLAG_ONLY
-    final_records, missing_report = apply_missing_policy(deduped, policy)
+    final_records, missing_report = apply_missing_policy(
+        deduped, policy, row_numbers=[n for n in rows if n not in dropped]
+    )
 
     stages = {
         "parse": parse_report,
         "deduplicate": dedupe_report,
         "missing_policy": missing_report,
     }
-    total_rows = parse_report.accepted_count + parse_report.rejected_count
     if format == "json":
         text = _json_text(
             {

@@ -74,10 +74,12 @@ class TranscriptSchemaError(ValueError):
 class ValidationIssue:
     """One finding about one row.
 
-    ``row_number`` is the 1-based position of the row: data-row ordinal for
-    parsing (the header is row 0), sequence position for the record-level
-    cleaning passes.  ``field`` is the offending column, or ``"row"`` when
-    the finding concerns the row as a whole.
+    ``row_number`` is the 1-based CSV data row (the header is row 0).  The
+    record-level cleaning passes number their records by position unless
+    given the data rows the records came from, as ``validate`` does, so a
+    row the parse rejected does not shift the rows after it.  ``field`` is
+    the offending column, or ``"row"`` when the finding concerns the row
+    as a whole.
     """
 
     row_number: int
@@ -330,19 +332,36 @@ def parse_refined_transcript_csv(
     return _parse_transcript(source, refined=True)
 
 
+def _row_numbers(
+    records: list[StudentModuleOutcome], row_numbers: Sequence[int] | None
+) -> Sequence[int]:
+    """The data row of each record: ``row_numbers``, or 1, 2, ... by
+    position."""
+    if row_numbers is None:
+        return range(1, len(records) + 1)
+    if len(row_numbers) != len(records):
+        raise ValueError(
+            f"row numbers length {len(row_numbers)} does not match record count {len(records)}"
+        )
+    return row_numbers
+
+
 def apply_missing_policy(
-    records: Iterable[StudentModuleOutcome], policy: MissingPolicy
+    records: Iterable[StudentModuleOutcome],
+    policy: MissingPolicy,
+    *,
+    row_numbers: Sequence[int] | None = None,
 ) -> tuple[list[StudentModuleOutcome], IngestReport]:
     """Handle records whose weighted components carry no mark.
 
     DROP_RECORD removes them (Reject issues); FLAG_ONLY keeps them and
-    emits Warn issues.  No value is ever imputed.
+    emits Warn issues.  No value is ever imputed.  Issues name
+    ``row_numbers[i]`` for record ``i`` when given, else its position.
     """
+    records = list(records)
     kept: list[StudentModuleOutcome] = []
     issues: list[ValidationIssue] = []
-    total = 0
-    for position, record in enumerate(records, start=1):
-        total += 1
+    for row_number, record in zip(_row_numbers(records, row_numbers), records):
         missing = record.missing_component_fields
         if not missing:
             kept.append(record)
@@ -351,7 +370,7 @@ def apply_missing_policy(
         for name in missing:
             issues.append(
                 ValidationIssue(
-                    position,
+                    row_number,
                     name,
                     IssueCategory.MISSING,
                     f"no mark for a component weighted "
@@ -361,18 +380,23 @@ def apply_missing_policy(
             )
         if policy is MissingPolicy.FLAG_ONLY:
             kept.append(record)
-    return kept, IngestReport(len(kept), total - len(kept), tuple(issues))
+    return kept, IngestReport(len(kept), len(records) - len(kept), tuple(issues))
 
 
 def deduplicate(
     records: Iterable[StudentModuleOutcome],
+    *,
+    row_numbers: Sequence[int] | None = None,
 ) -> tuple[list[StudentModuleOutcome], IngestReport]:
     """Enforce at most one record per (student_id, module_code, year_level).
 
     Exact duplicates collapse to the first copy with a Warn per extra copy;
     conflicting duplicates are all rejected, since no copy can be trusted.
+    Issues name ``row_numbers[i]`` for record ``i`` when given, else its
+    position.
     """
     records = list(records)
+    rows = _row_numbers(records, row_numbers)
     by_key: dict[tuple[str, str, int], list[int]] = {}
     for index, record in enumerate(records):
         key = (record.student_id, record.module_code, record.year_level)
@@ -386,16 +410,16 @@ def deduplicate(
         if all(record == group[0] for record in group):
             for i in indexes[1:]:
                 drop[i] = ValidationIssue(
-                    i + 1,
+                    rows[i],
                     "row",
                     IssueCategory.DATA_INTEGRATION,
-                    f"exact duplicate of record {indexes[0] + 1} collapsed",
+                    f"exact duplicate of record {rows[indexes[0]]} collapsed",
                     Severity.WARN,
                 )
         else:
             for i in indexes:
                 drop[i] = ValidationIssue(
-                    i + 1,
+                    rows[i],
                     "row",
                     IssueCategory.DATA_INTEGRATION,
                     f"conflicting duplicates for student {key[0]!r}, "

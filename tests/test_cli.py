@@ -122,6 +122,41 @@ def test_validate_json_format(cohort: Path) -> None:
     assert doc["accepted"] == doc["total_rows"]
 
 
+@pytest.mark.parametrize(
+    ("duplicate", "dedupe_issues"),
+    [
+        # conflicting copies: both rejected
+        ("S2,CS,1,M2,65,63,67,50,50", [(2, "Reject", "conflicting"), (3, "Reject", "conflicting")]),
+        # an exact copy collapses onto the first, named by its CSV row
+        ("S2,CS,1,M2,60,58,62,50,50", [(3, "Warn", "exact duplicate of record 2 collapsed")]),
+    ],
+)
+def test_validate_names_csv_rows_in_every_stage(
+    tmp_path: Path, duplicate: str, dedupe_issues: list
+) -> None:
+    # the parse rejects row 1, so the later stages see one record fewer
+    path = tmp_path / "dirty.csv"
+    path.write_text(
+        "student_id,department,year_level,module_code,module_mark,exam_mark,"
+        "cswk_mark,exam_weight,cswk_weight\n"
+        "S1,CS,1,M1,150,75,75,50,50\n"
+        "S2,CS,1,M2,60,58,62,50,50\n"
+        f"{duplicate}\n"
+        "S3,CS,1,M3,60,,62,50,50\n"
+    )
+    stages = json.loads(run("validate", str(path), "--format", "json", expect=1))["stages"]
+    assert [i["row"] for i in stages["parse"]["issues"]] == [1]
+    assert [
+        (i["row"], i["severity"], i["detail"][: len(detail)])
+        for i, (_, _, detail) in zip(stages["deduplicate"]["issues"], dedupe_issues)
+    ] == dedupe_issues
+    assert len(stages["deduplicate"]["issues"]) == len(dedupe_issues)
+    assert [(i["row"], i["field"]) for i in stages["missing_policy"]["issues"]] == [(4, "exam_mark")]
+    text = run("validate", str(path), expect=1)
+    assert f"  row {dedupe_issues[-1][0]} [row] DataIntegration" in text
+    assert "  row 4 [exam_mark] Missing/Warn" in text
+
+
 def test_validate_flag_vs_drop_policy(tmp_path: Path) -> None:
     path = tmp_path / "gappy.csv"
     path.write_text(

@@ -66,9 +66,11 @@ GOLDEN_DIRTY = {
     "stats.csv": "5b8005a4d1b2fa4f45a45326201b5f11a9168107f518e2c0e64a3374a5d55d76",
     "stats.json": "b05c8dd1ddb071e22e59d4a82f2b2c2915d81f39dcf46b722ca5620386ea5eca",
     "stats.text": "66fde8c835c7017f62836fbdde42fa7dacfa9b490757878346c35f243bb64318",
-    "validate.csv": "befd13f95bed7394c08eed0d844e352b1898c880cdc4ce80622722d9788f0d57",
-    "validate.json": "ff976cb637f51e822151069a67750a701fd2b36574b78bf69cd7719c9bc8e9ba",
-    "validate.text": "247866faae6c5c68376166fa707684754c91a753fc65ae062cf0e2156bdcbda2",
+    # the deduplicate and missing_policy stages name CSV data rows, not
+    # positions among the rows the parse accepted
+    "validate.csv": "04ed1b20b937d5ead4cb409d4b71c2f4bbff256824cd539e819754b16283523a",
+    "validate.json": "8e78cc9f1722a589c5d8cb4261ea1656d2e4b93e1829bdb1153667ce24c67d78",
+    "validate.text": "e5e51a4eb2b7f52f85f62f0936b85d1ddd5aceca38e0e3cd0b794df2ac0aff92",
 }
 
 

@@ -172,6 +172,20 @@ def test_deduplicate_key_includes_year() -> None:
     assert len(kept) == 2
 
 
+def test_cleaning_passes_name_given_row_numbers() -> None:
+    record = make_outcome()
+    incomplete = make_outcome(exam_mark=None, module_code="M2")
+    _, report = deduplicate([record, incomplete, record], row_numbers=[2, 5, 9])
+    (issue,) = report.issues
+    assert (issue.row_number, issue.detail) == (9, "exact duplicate of record 2 collapsed")
+    _, report = apply_missing_policy([record, incomplete], MissingPolicy.FLAG_ONLY, row_numbers=[2, 5])
+    assert [i.row_number for i in report.issues] == [5]
+    with pytest.raises(ValueError, match="row numbers length 1"):
+        deduplicate([record, incomplete], row_numbers=[1])
+    with pytest.raises(ValueError, match="row numbers length 3"):
+        apply_missing_policy([record], MissingPolicy.DROP_RECORD, row_numbers=[1, 2, 3])
+
+
 def test_missing_policy_drop_and_flag() -> None:
     complete = make_outcome()
     incomplete = make_outcome(exam_mark=None, module_code="M2")
