@@ -795,7 +795,9 @@ def evaluate(
         _usage_error(str(exc))
     n_features = len(table.column_names)
     if max_features is not None and max_features > n_features:
-        _usage_error(f"--max-features {max_features} exceeds the feature count {n_features}")
+        _usage_error(
+            f"{_setting_name(ctx, 'max_features')} {max_features} exceeds the feature count {n_features}"
+        )
     try:
         result = compare_with_without_car(
             table, params, seed=seed, test_fraction=test_fraction, average=auc_average

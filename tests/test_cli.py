@@ -384,6 +384,7 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
         ("evaluate", {"predictor_years": "1,3"}),
         ("evaluate", {"predictor_years": "1,2,2"}),
         ("evaluate", {"banding": []}),
+        ("evaluate", {"max_features": 4}),
     ],
 )
 def test_bad_config_value_is_usage_error(
@@ -396,6 +397,10 @@ def test_bad_config_value_is_usage_error(
     assert result.exit_code == 2, result.output
     (key,) = config
     assert key in result.output
+    # the message names the config key, never a flag the user did not give
+    assert "--" + key.replace("_", "-") not in result.output
+    if key == "max_features":
+        assert "config key max_features 4 exceeds the feature count 3" in result.output
 
 
 def test_evaluate_config_banding_scheme(refined: Path, tmp_path: Path) -> None:
