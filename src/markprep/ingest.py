@@ -148,8 +148,9 @@ def _check_header(header: Sequence[str] | None, expected: Sequence[str]) -> None
         )
 
 
-# Rows with the same split share one weighting.  A split is two
-# non-negative integers summing to 100, so this holds at most 101 entries.
+# Rows with the same split share one weighting, which is frozen.  A split
+# is two non-negative integers summing to 100, so this holds at most 101
+# entries.
 _WEIGHTINGS: dict[tuple[int, int], AssessmentWeighting] = {}
 
 
@@ -226,7 +227,9 @@ def _parse_row(
         )
     if exam_weight is not None and cswk_weight is not None:
         if exam_weight + cswk_weight != 100:
-            _reject(issues, row_number, "cswk_weight", f"weights sum to {exam_weight + cswk_weight}, not 100")
+            _reject(
+                issues, row_number, "cswk_weight", f"weights sum to {exam_weight + cswk_weight}, not 100"
+            )
         else:
             zero_weight = "mark recorded for a component with zero weight"
             if exam_weight == 0 and exam_text:
