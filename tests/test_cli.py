@@ -122,11 +122,14 @@ def test_validate_json_format(cohort: Path) -> None:
     assert doc["accepted"] == doc["total_rows"]
 
 
+CONFLICT = "conflicting duplicates for student 'S2', module 'M2', year 1"
+
+
 @pytest.mark.parametrize(
     ("duplicate", "dedupe_issues"),
     [
         # conflicting copies: both rejected
-        ("S2,CS,1,M2,65,63,67,50,50", [(2, "Reject", "conflicting"), (3, "Reject", "conflicting")]),
+        ("S2,CS,1,M2,65,63,67,50,50", [(2, "Reject", CONFLICT), (3, "Reject", CONFLICT)]),
         # an exact copy collapses onto the first, named by its CSV row
         ("S2,CS,1,M2,60,58,62,50,50", [(3, "Warn", "exact duplicate of record 2 collapsed")]),
     ],
@@ -146,11 +149,8 @@ def test_validate_names_csv_rows_in_every_stage(
     )
     stages = json.loads(run("validate", str(path), "--format", "json", expect=1))["stages"]
     assert [i["row"] for i in stages["parse"]["issues"]] == [1]
-    assert [
-        (i["row"], i["severity"], i["detail"][: len(detail)])
-        for i, (_, _, detail) in zip(stages["deduplicate"]["issues"], dedupe_issues)
-    ] == dedupe_issues
-    assert len(stages["deduplicate"]["issues"]) == len(dedupe_issues)
+    got = [(i["row"], i["severity"], i["detail"]) for i in stages["deduplicate"]["issues"]]
+    assert got == dedupe_issues
     assert [(i["row"], i["field"]) for i in stages["missing_policy"]["issues"]] == [(4, "exam_mark")]
     text = run("validate", str(path), expect=1)
     assert f"  row {dedupe_issues[-1][0]} [row] DataIntegration" in text

@@ -9,6 +9,7 @@ import pytest
 
 from markprep import (
     RECOMBINATION_TOLERANCE,
+    REFINED_MARK_COLUMN,
     TRANSCRIPT_COLUMNS,
     IssueCategory,
     MissingPolicy,
@@ -246,6 +247,7 @@ GRID_CASES = (
     ("S1", "CS", "1", "M1", "60.0", "", "", "0", "0"),  # weights sum to 0
     ("S1", "CS", "1", "M1", "62.0", "58.0", "62.0", "0", "100"),  # exam mark, zero weight
     ("S1", "CS", "1", "M1", "58.0", "58.0", "62.0", "100", "0"),  # coursework mark, zero weight
+    ("S1", "CS", "1", "M1", "62.0", "abc", "62.0", "0", "100"),  # bad mark, zero weight
     ("S1", "CS", "1", "M1", "58.0", "58.0", "", "100", "0"),  # exam only
     ("S1", "CS", "1", "M1", "62.0", "", "62.0", "0", "100"),  # coursework only
     ("S1", "CS", "1", "M1", "60.0", "", "", "50", "50"),  # both weighted marks missing
@@ -263,23 +265,19 @@ GRID_CASES = (
 
 
 def grid_rows(refined: bool) -> list[tuple[str, ...]]:
-    base = GRID_BASE + ((GRID_REFINED_MARK,) if refined else ())
+    extra = (GRID_REFINED_MARK,) if refined else ()
+    base = GRID_BASE + extra
     rows = [
         base[:column] + (value,) + base[column + 1:]
         for column in range(len(base))
         for value in GRID_VALUES
     ]
-    extra = (GRID_REFINED_MARK,) if refined else ()
     return rows + [case + extra for case in GRID_CASES]
 
 
 def grid_outcome(refined: bool) -> dict:
-    text = io.StringIO()
-    columns = TRANSCRIPT_COLUMNS + (("refined_module_mark",) if refined else ())
-    text.write(",".join(columns) + "\n")
-    for row in grid_rows(refined):
-        text.write(",".join(row) + "\n")
-    text.seek(0)
+    columns = TRANSCRIPT_COLUMNS + ((REFINED_MARK_COLUMN,) if refined else ())
+    text = io.StringIO("".join(",".join(row) + "\n" for row in [columns, *grid_rows(refined)]))
     if refined:
         records, marks, report = parse_refined_transcript_csv(text)
     else:
