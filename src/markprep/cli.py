@@ -18,7 +18,7 @@ from typing import NoReturn
 
 import click
 
-from .core import DEFAULT_BANDING, BandingScheme, DegreeBand
+from .core import DEFAULT_BANDING, BandingScheme, DegreeBand, read_list, read_number, read_string
 from .evaluation import (
     DEFAULT_TEST_FRACTION,
     ComparisonResult,
@@ -36,6 +36,7 @@ from .ingest import (
     TranscriptSchemaError,
     apply_missing_policy,
     deduplicate,
+    parse_any_transcript_csv,
     parse_refined_transcript_csv,
     parse_transcript_csv,
     write_transcript_csv,
@@ -43,7 +44,10 @@ from .ingest import (
 from .refine import (
     RefinementModel,
     RefinementResult,
+    SavedModels,
     SingularFitError,
+    models_from_json,
+    models_to_json,
     reference_model,
     run_refinement_pipeline,
 )
@@ -139,22 +143,22 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _read_records(path: str, refined: bool = False, warn_rejects: bool = True) -> tuple:
-    """The parse function's tuple for a transcript CSV, in the refined schema
-    when ``refined``; unreadable input or a wrong header is a usage error.
-    Rejected rows are counted on stderr, so stdout stays the report."""
+def _read_records(path: str, parse=parse_transcript_csv, warn_rejects: bool = True) -> tuple:
+    """The tuple ``parse`` returns for a transcript CSV; unreadable input or
+    a wrong header is a usage error.  Rejected rows are counted on stderr,
+    so stdout stays the report."""
     try:
-        parsed = parse_refined_transcript_csv(path) if refined else parse_transcript_csv(path)
+        parsed = parse(path)
     except OSError as exc:
         _usage_error(f"cannot read {path}: {exc}")
     except TranscriptSchemaError as exc:
+        refined = parse is parse_refined_transcript_csv
         _usage_error(f"{exc} (expected the refined schema written by `refine`)" if refined else str(exc))
     report = parsed[-1]
     if warn_rejects and report.rejected_count:
         total = report.accepted_count + report.rejected_count
-        # `validate` reads only the canonical schema
-        details = "" if refined else "; run markprep validate for details"
-        click.echo(f"{report.rejected_count} of {total} rows rejected while parsing {path}{details}", err=True)
+        line = f"{report.rejected_count} of {total} rows rejected while parsing {path}"
+        click.echo(f"{line}; run markprep validate for details", err=True)
     return parsed
 
 
@@ -300,9 +304,10 @@ def validate(
     """Check a transcript CSV; exit 1 when any row is rejected.
 
     Runs the full cleaning sequence: schema and field validation,
-    duplicate handling, then the missing-mark policy.
+    duplicate handling, then the missing-mark policy.  The header picks
+    the schema, so a refined transcript from `refine` is checked too.
     """
-    records, parse_report = _read_records(input_csv, warn_rejects=False)
+    records, _, parse_report = _read_records(input_csv, parse_any_transcript_csv, warn_rejects=False)
     total_rows = parse_report.accepted_count + parse_report.rejected_count
     # Every stage names CSV data rows: a row the parse rejected has a
     # reject issue, and every deduplicate issue drops its record.
@@ -487,35 +492,10 @@ def _model_lines(result: RefinementResult) -> list[str]:
     return lines
 
 
-# One pooled model, or a model per department keyed by department name.
-_SavedModels = RefinementModel | dict[str, RefinementModel]
-
-
-def _scoped_models(models: _SavedModels) -> list[tuple[str, RefinementModel]]:
-    if isinstance(models, RefinementModel):
-        return [("pooled", models)]
-    return sorted(models.items())
-
-
-def _models_json(models: _SavedModels) -> dict:
-    """The model JSON that `refine` writes and `report` reads back."""
-    if isinstance(models, RefinementModel):
-        return models.to_json_dict()
-    return {scope: model.to_json_dict() for scope, model in models.items()}
-
-
-def _models_from_json(data: dict) -> _SavedModels | None:
-    """Inverse of ``_models_json``; None when the object is no model JSON."""
-    if "b0" in data:
-        return RefinementModel.from_json_dict(data)
-    if data and all(isinstance(value, dict) and "b0" in value for value in data.values()):
-        return {scope: RefinementModel.from_json_dict(value) for scope, value in data.items()}
-    return None
-
-
-def _models_csv(models: _SavedModels) -> str:
+def _models_csv(models: SavedModels) -> str:
     lines = ["scope,model_kind,b0,b1,b2,r_squared,n_observations"]
-    for scope, model in _scoped_models(models):
+    scoped = [("pooled", models)] if isinstance(models, RefinementModel) else sorted(models.items())
+    for scope, model in scoped:
         lines.append(
             f"{scope},{model.model_kind.value},{model.intercept!r},"
             f"{model.linear!r},{model.quadratic!r},{model.r_squared!r},"
@@ -524,7 +504,7 @@ def _models_csv(models: _SavedModels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _models_text(models: _SavedModels) -> str:
+def _models_text(models: SavedModels) -> str:
     def fit(model: RefinementModel) -> str:
         return (
             f"b0 = {model.intercept:.6g}, b1 = {model.linear:.6g}, b2 = {model.quadratic:.6g}, "
@@ -534,26 +514,19 @@ def _models_text(models: _SavedModels) -> str:
     if isinstance(models, RefinementModel):
         return f"{models.model_kind.value} model: {fit(models)}\n"
     return "".join(
-        f"{scope}: {model.model_kind.value} {fit(model)}\n" for scope, model in _scoped_models(models)
+        f"{scope}: {model.model_kind.value} {fit(model)}\n" for scope, model in sorted(models.items())
     )
 
 
 def _refine_report_json(result: RefinementResult) -> dict:
+    def saved(models: SavedModels | None) -> dict | None:
+        return None if models is None else models_to_json(models)
+
     return {
-        "model": result.model.to_json_dict() if result.model else None,
-        "department_models": (
-            {d: m.to_json_dict() for d, m in result.department_models.items()}
-            if result.department_models is not None
-            else None
-        ),
-        "linear_candidate": (
-            result.linear_candidate.to_json_dict() if result.linear_candidate else None
-        ),
-        "quadratic_candidate": (
-            result.quadratic_candidate.to_json_dict()
-            if result.quadratic_candidate
-            else None
-        ),
+        "model": saved(result.model),
+        "department_models": saved(result.department_models),
+        "linear_candidate": saved(result.linear_candidate),
+        "quadratic_candidate": saved(result.quadratic_candidate),
         "ratio_classes": {d: list(w) for d, w in sorted(result.ratio_classes.items())},
         "warnings": list(result.warnings),
         "record_count": len(result.records),
@@ -603,7 +576,7 @@ def refine(
 
     model_path = Path(model_out) if model_out else Path(input_csv).with_suffix(".model.json")
     models = result.department_models if result.department_models is not None else result.model
-    model_path.write_text(_json_text(_models_json(models)), encoding="utf-8")
+    model_path.write_text(_json_text(models_to_json(models)), encoding="utf-8")
 
     if format == "json":
         text = _json_text(_refine_report_json(result))
@@ -636,14 +609,14 @@ def _parse_predictor_years(ctx: click.Context, value: str, target_year: int) -> 
 
 
 def _parse_banding(value: object) -> BandingScheme:
-    if not isinstance(value, list):
-        _usage_error("banding must be a list of [lower_bound, band_name] pairs")
+    """The config's list of [lower_bound, band_name] pairs as a scheme."""
     try:
-        thresholds = tuple(
-            (float(bound), DegreeBand.from_label(str(name))) for bound, name in value
-        )
-        return BandingScheme(thresholds)
-    except (TypeError, ValueError) as exc:
+        pairs = [read_list("banding entry", pair) for pair in read_list("banding", value)]
+        return BandingScheme(tuple(
+            (read_number("banding bound", bound), DegreeBand.from_label(read_string("banding band name", name)))
+            for bound, name in pairs
+        ))
+    except ValueError as exc:
         _usage_error(f"invalid banding scheme: {exc}")
 
 
@@ -766,7 +739,7 @@ def evaluate(
 
     if input_csv is None:
         _usage_error("INPUT_CSV is required unless --from-fixture is given")
-    records, refined_marks, _report = _read_records(input_csv, refined=True)
+    records, refined_marks, _report = _read_records(input_csv, parse_refined_transcript_csv)
     if not records:
         _data_error(f"no valid records in {input_csv}")
 
@@ -815,17 +788,15 @@ def _render_saved_report(path: str, data: dict, format: str) -> str:
     is_comparison = "with_car" in data and "without_car" in data
     kind = "evaluation" if is_comparison else "model"
     try:
-        saved = ComparisonResult.from_json_dict(data) if is_comparison else _models_from_json(data)
-    except KeyError as exc:
-        _usage_error(f"saved {kind} {path} lacks the key {exc}")
-    except (AttributeError, TypeError, ValueError) as exc:
+        saved = ComparisonResult.from_json_dict(data) if is_comparison else models_from_json(data)
+    except ValueError as exc:
         _usage_error(f"saved {kind} {path} is malformed: {exc}")
     if saved is None:
         _usage_error("unrecognized report JSON; expected evaluate or refine output")
     if is_comparison:
         return _comparison_report(saved, format)
     if format == "json":
-        return _json_text(_models_json(saved))
+        return _json_text(models_to_json(saved))
     if format == "csv":
         return _models_csv(saved)
     return _models_text(saved)

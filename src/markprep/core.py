@@ -7,6 +7,8 @@ the coursework share of that weighting, as a fraction in [0, 1].
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -14,6 +16,54 @@ from typing import Iterable, Sequence
 
 class EmptySelectionError(ValueError):
     """Raised when an aggregate is requested over zero matching records."""
+
+
+# Readers for the JSON documents markprep loads (saved models and
+# evaluations, cohort specs, the banding config).  Each takes a value as
+# ``json.loads`` returned it and raises ``error`` naming the field instead
+# of coercing a value of the wrong JSON type.
+
+
+def read_fields(
+    data: object, what: str, required: Sequence[str], optional: Sequence[str] = (), error=ValueError
+) -> dict:
+    """``data`` if it is a JSON object whose keys are the required ones plus any optional ones."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object, got {data!r}")
+    unknown = set(data).difference(required, optional)
+    if unknown:
+        raise error(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required).difference(data)
+    if missing:
+        raise error(f"missing {what} fields: {sorted(missing)}")
+    return data
+
+
+def read_count(name: str, value: object, error=ValueError) -> int:
+    """An integer >= 0; a bool or a float is not one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise error(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def read_number(name: str, value: object, error=ValueError) -> float:
+    """A finite int or float, as a float; a bool is not one."""
+    # the bound also rejects NaN, and an int too large for float()
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not abs(value) <= sys.float_info.max:
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def read_string(name: str, value: object, error=ValueError) -> str:
+    if not isinstance(value, str):
+        raise error(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
+def read_list(name: str, value: object, error=ValueError) -> list:
+    if not isinstance(value, list):
+        raise error(f"{name} must be a JSON list, got {value!r}")
+    return value
 
 
 class DegreeBand(IntEnum):
@@ -56,12 +106,8 @@ class AssessmentWeighting:
     coursework_weight: int
 
     def __post_init__(self) -> None:
-        for name in ("exam_weight", "coursework_weight"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        read_count("exam_weight", self.exam_weight)
+        read_count("coursework_weight", self.coursework_weight)
         if self.exam_weight + self.coursework_weight != 100:
             raise ValueError(
                 "weights must sum to 100, got "
@@ -167,6 +213,8 @@ class BandingScheme:
             raise ValueError("scheme needs at least one threshold")
         bounds = [bound for bound, _ in self.thresholds]
         bands = [band for _, band in self.thresholds]
+        if not all(math.isfinite(bound) for bound in bounds):
+            raise ValueError(f"bounds must be finite, got {bounds}")
         if bounds[0] != 0:
             raise ValueError(f"lowest bound must be 0, got {bounds[0]}")
         for lo, hi in zip(bounds, bounds[1:]):

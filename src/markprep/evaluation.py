@@ -20,6 +20,7 @@ from .core import (
     compute_car,
     year_average,
 )
+from .core import read_count, read_fields, read_list, read_number, read_string
 from .fixtures import PUBLISHED_CLASS_ORDER
 from .forest import (
     FeatureRow,
@@ -145,10 +146,12 @@ class ConfusionMatrix:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ConfusionMatrix":
+    def from_json_dict(cls, data: object) -> "ConfusionMatrix":
+        data = read_fields(data, "confusion", ("class_order", "cells"))
+        names, rows = read_list("class_order", data["class_order"]), read_list("cells", data["cells"])
         return cls(
-            class_order=tuple(DegreeBand.from_label(name) for name in data["class_order"]),
-            cells=tuple(tuple(int(cell) for cell in row) for row in data["cells"]),
+            class_order=tuple(DegreeBand.from_label(read_string("class_order entry", name)) for name in names),
+            cells=tuple(tuple(read_count("cells entry", cell) for cell in read_list("cells row", row)) for row in rows),
         )
 
 
@@ -254,6 +257,8 @@ class EvaluationReport:
     def __post_init__(self) -> None:
         if abs(self.error_rate - (1.0 - self.auc)) > 1e-9:
             raise ValueError("error_rate must equal 1 - auc")
+        if self.auc_average not in ("weighted", "macro"):
+            raise ValueError(f"auc_average must be 'weighted' or 'macro', got {self.auc_average!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,17 +273,15 @@ class EvaluationReport:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "EvaluationReport":
+    def from_json_dict(cls, data: object) -> "EvaluationReport":
+        numbers = ("classification_accuracy", "auc", "error_rate")
+        data = read_fields(data, "evaluation report", ("confusion", *numbers, "per_class_auc", "auc_average"))
+        per_class = read_fields(data["per_class_auc"], "per_class_auc", (), [band.name for band in DegreeBand])
         return cls(
             confusion=ConfusionMatrix.from_json_dict(data["confusion"]),
-            classification_accuracy=float(data["classification_accuracy"]),
-            auc=float(data["auc"]),
-            error_rate=float(data["error_rate"]),
-            per_class_auc={
-                DegreeBand.from_label(name): float(value)
-                for name, value in data["per_class_auc"].items()
-            },
-            auc_average=str(data["auc_average"]),
+            **{name: read_number(name, data[name]) for name in numbers},
+            per_class_auc={DegreeBand[name]: read_number(name, value) for name, value in per_class.items()},
+            auc_average=read_string("auc_average", data["auc_average"]),
         )
 
 
@@ -325,11 +328,12 @@ class ComparisonResult:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ComparisonResult":
+    def from_json_dict(cls, data: object) -> "ComparisonResult":
+        data = read_fields(data, "evaluation", ("with_car", "without_car", "auc_delta"))
         return cls(
             with_car=EvaluationReport.from_json_dict(data["with_car"]),
             without_car=EvaluationReport.from_json_dict(data["without_car"]),
-            auc_delta=float(data["auc_delta"]),
+            auc_delta=read_number("auc_delta", data["auc_delta"]),
         )
 
 

@@ -285,13 +285,16 @@ def _parse_refined_mark(
 
 
 def _parse_transcript(
-    source: str | Path | IO, refined: bool
+    source: str | Path | IO, refined: bool | None
 ) -> tuple[list[StudentModuleOutcome], list[float], IngestReport]:
     """The row loop of both schemas; the refined marks stay empty unless
-    ``refined``."""
-    columns = TRANSCRIPT_COLUMNS + ((REFINED_MARK_COLUMN,) if refined else ())
+    ``refined``, and None picks the schema from the header."""
     reader = csv.reader(io.StringIO(_read_text(source), newline=""))
-    _check_header(next(reader, None), columns)
+    header = next(reader, None)
+    if refined is None:
+        refined = bool(header) and header[-1].strip() == REFINED_MARK_COLUMN
+    columns = TRANSCRIPT_COLUMNS + ((REFINED_MARK_COLUMN,) if refined else ())
+    _check_header(header, columns)
 
     records: list[StudentModuleOutcome] = []
     refined_marks: list[float] = []
@@ -333,6 +336,11 @@ def parse_refined_transcript_csv(
     Returns (records, refined marks aligned to records, report).
     """
     return _parse_transcript(source, refined=True)
+
+
+def parse_any_transcript_csv(source: str | Path | IO) -> tuple[list[StudentModuleOutcome], list[float], IngestReport]:
+    """Parse either schema, as the header names it; a canonical file has no refined marks."""
+    return _parse_transcript(source, refined=None)
 
 
 def _row_numbers(

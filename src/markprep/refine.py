@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Car, StudentModuleOutcome
+from .core import Car, StudentModuleOutcome, read_count, read_fields, read_number, read_string
 from .fixtures import REFERENCE_R_SQUARED_QUADRATIC
 
 REFERENCE_LINEAR_COEFFICIENT = 12.77
@@ -59,8 +59,7 @@ class RefinementModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.r_squared <= 1.0:
             raise ValueError(f"r_squared must lie in [0, 1], got {self.r_squared!r}")
-        if self.n_observations < 0:
-            raise ValueError(f"n_observations must be >= 0, got {self.n_observations}")
+        read_count("n_observations", self.n_observations)
         if self.model_kind is ModelKind.LINEAR and self.quadratic != 0.0:
             raise ValueError("a linear model must have a zero quadratic coefficient")
 
@@ -79,22 +78,37 @@ class RefinementModel:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "RefinementModel":
-        expected = {"b0", "b1", "b2", "r_squared", "model_kind", "n_observations"}
-        unknown = set(data) - expected
-        if unknown:
-            raise ValueError(f"unknown model fields: {sorted(unknown)}")
-        missing = expected - set(data)
-        if missing:
-            raise ValueError(f"missing model fields: {sorted(missing)}")
+    def from_json_dict(cls, data: object) -> "RefinementModel":
+        data = read_fields(data, "model", ("b0", "b1", "b2", "r_squared", "model_kind", "n_observations"))
         return cls(
-            intercept=float(data["b0"]),
-            linear=float(data["b1"]),
-            quadratic=float(data["b2"]),
-            r_squared=float(data["r_squared"]),
-            model_kind=ModelKind(data["model_kind"]),
-            n_observations=int(data["n_observations"]),
+            intercept=read_number("b0", data["b0"]),
+            linear=read_number("b1", data["b1"]),
+            quadratic=read_number("b2", data["b2"]),
+            r_squared=read_number("r_squared", data["r_squared"]),
+            model_kind=ModelKind(read_string("model_kind", data["model_kind"])),
+            n_observations=data["n_observations"],
         )
+
+
+# The saved-model file: one pooled model, or a model per department keyed
+# by department name.
+SavedModels = RefinementModel | dict[str, RefinementModel]
+
+
+def models_to_json(models: SavedModels) -> dict:
+    """The model JSON that `refine` writes and `report` reads back."""
+    if isinstance(models, RefinementModel):
+        return models.to_json_dict()
+    return {scope: model.to_json_dict() for scope, model in models.items()}
+
+
+def models_from_json(data: dict) -> SavedModels | None:
+    """Inverse of ``models_to_json``; None when the object is no model JSON."""
+    if "b0" in data:
+        return RefinementModel.from_json_dict(data)
+    if data and all(isinstance(value, dict) and "b0" in value for value in data.values()):
+        return {scope: RefinementModel.from_json_dict(value) for scope, value in data.items()}
+    return None
 
 
 def reference_model() -> RefinementModel:
@@ -177,13 +191,9 @@ def fit_polynomial(
     )
 
 
-def choose_model_kind(
-    r_squared_linear: float,
-    r_squared_quadratic: float,
-    tie_tolerance: float = R_SQUARED_TIE_TOLERANCE,
-) -> ModelKind:
+def choose_model_kind(r_squared_linear: float, r_squared_quadratic: float) -> ModelKind:
     """Selection rule: higher R-squared wins, ties go to the lower degree."""
-    if r_squared_quadratic > r_squared_linear + tie_tolerance:
+    if r_squared_quadratic > r_squared_linear + R_SQUARED_TIE_TOLERANCE:
         return ModelKind.QUADRATIC
     return ModelKind.LINEAR
 

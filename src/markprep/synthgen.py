@@ -20,10 +20,9 @@ for a bounded uniform spread d, where we and wc are the weight fractions.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
-from .core import AssessmentWeighting, StudentModuleOutcome
+from .core import AssessmentWeighting, StudentModuleOutcome, read_count, read_fields, read_list, read_number
 from .streams import normal_deviate, substream
 
 # Largest coursework/exam divergence (in marks) the component split may
@@ -39,15 +38,8 @@ class CohortSpecError(ValueError):
     """Raised for specs that cannot describe a generatable cohort."""
 
 
-def _check_count(name: str, value: object) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise CohortSpecError(f"{name} must be an integer >= 0, got {value!r}")
-
-
-def _json_list(data: dict, name: str) -> tuple:
-    if not isinstance(data[name], list):
-        raise CohortSpecError(f"{name} must be a JSON list, got {data[name]!r}")
-    return tuple(data[name])
+# The number fields of a cohort spec, each of which a spec file may omit.
+_SPEC_NUMBERS = ("noise_sd", "ability_mean", "ability_sd", "effect_linear", "effect_quadratic")
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,12 +53,12 @@ class DepartmentProfile:
     def __post_init__(self) -> None:
         if not isinstance(self.code, str) or not self.code:
             raise CohortSpecError(f"department code must be a non-empty string, got {self.code!r}")
-        _check_count("student_count", self.student_count)
-        _check_count("modules_per_student_per_year", self.modules_per_student_per_year)
+        read_count("student_count", self.student_count, CohortSpecError)
+        read_count("modules_per_student_per_year", self.modules_per_student_per_year, CohortSpecError)
         if not self.cw_weight_classes:
             raise CohortSpecError("cw_weight_classes must be non-empty")
         for weight in self.cw_weight_classes:
-            _check_count("cw_weight_classes entry", weight)
+            read_count("cw_weight_classes entry", weight, CohortSpecError)
             if weight > 100:
                 raise CohortSpecError(f"cw_weight_classes entry out of [0, 100]: {weight}")
         if len(set(self.cw_weight_classes)) != len(self.cw_weight_classes):
@@ -76,7 +68,7 @@ class DepartmentProfile:
         if not self.years:
             raise CohortSpecError("years must be non-empty")
         for year in self.years:
-            _check_count("years entry", year)
+            read_count("years entry", year, CohortSpecError)
         if tuple(sorted(self.years)) != self.years:
             raise CohortSpecError("years must be sorted ascending")
 
@@ -90,29 +82,11 @@ class DepartmentProfile:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "DepartmentProfile":
-        if not isinstance(data, dict):
-            raise CohortSpecError(f"a department must be a JSON object, got {data!r}")
-        expected = {
-            "code",
-            "student_count",
-            "modules_per_student_per_year",
-            "cw_weight_classes",
-            "years",
-        }
-        unknown = set(data) - expected
-        if unknown:
-            raise CohortSpecError(f"unknown department fields: {sorted(unknown)}")
-        missing = expected - set(data)
-        if missing:
-            raise CohortSpecError(f"missing department fields: {sorted(missing)}")
-        return cls(
-            code=data["code"],
-            student_count=data["student_count"],
-            modules_per_student_per_year=data["modules_per_student_per_year"],
-            cw_weight_classes=_json_list(data, "cw_weight_classes"),
-            years=_json_list(data, "years"),
-        )
+    def from_json_dict(cls, data: object) -> "DepartmentProfile":
+        fields = ("code", "student_count", "modules_per_student_per_year", "cw_weight_classes", "years")
+        data = read_fields(data, "department", fields, error=CohortSpecError)
+        lists = {name: tuple(read_list(name, data[name], CohortSpecError)) for name in ("cw_weight_classes", "years")}
+        return cls(**{**data, **lists})
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,14 +100,11 @@ class CohortSpec:
     effect_quadratic: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_count("seed", self.seed)
+        read_count("seed", self.seed, CohortSpecError)
         if self.seed >= 2**64:
             raise CohortSpecError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        for name in ("noise_sd", "ability_mean", "ability_sd", "effect_linear", "effect_quadratic"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-                raise CohortSpecError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        for name in _SPEC_NUMBERS:
+            object.__setattr__(self, name, read_number(name, getattr(self, name), CohortSpecError))
         if self.noise_sd < 0 or self.ability_sd < 0:
             raise CohortSpecError("standard deviations must be non-negative")
         productive = any(
@@ -157,25 +128,10 @@ class CohortSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CohortSpec":
-        expected = {
-            "seed",
-            "noise_sd",
-            "ability_mean",
-            "ability_sd",
-            "effect_linear",
-            "effect_quadratic",
-            "departments",
-        }
-        unknown = set(data) - expected
-        if unknown:
-            raise CohortSpecError(f"unknown spec fields: {sorted(unknown)}")
-        if "seed" not in data or "departments" not in data:
-            raise CohortSpecError("spec requires 'seed' and 'departments'")
-        departments = _json_list(data, "departments")
-        return cls(
-            **{**data, "departments": tuple(DepartmentProfile.from_json_dict(d) for d in departments)}
-        )
+    def from_json_dict(cls, data: object) -> "CohortSpec":
+        data = read_fields(data, "spec", ("seed", "departments"), _SPEC_NUMBERS, CohortSpecError)
+        departments = read_list("departments", data["departments"], CohortSpecError)
+        return cls(**{**data, "departments": tuple(map(DepartmentProfile.from_json_dict, departments))})
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -104,8 +104,14 @@ def test_commands_count_rejected_rows_on_stderr(cohort: Path, refined: Path) -> 
     spoiled = with_row_replaced(refined, 3, -1, "n/a", "spoiled.refined.csv")
     result = runner.invoke(main, ["evaluate", str(spoiled), "--trees", "5", "--format", "json"])
     assert result.exit_code == 0, result.output
-    assert result.stderr == f"1 of 1200 rows rejected while parsing {spoiled}\n"
+    assert result.stderr == (
+        f"1 of 1200 rows rejected while parsing {spoiled}; run markprep validate for details\n"
+    )
     assert json.loads(result.stdout)["auc_delta"] is not None
+    # which `validate` lists, picking the refined schema from the header
+    result = runner.invoke(main, ["validate", str(spoiled)])
+    assert result.exit_code == 1
+    assert "row 4 [refined_module_mark]" in result.stdout
     # clean input says nothing
     result = runner.invoke(main, ["stats", str(cohort)])
     assert result.stderr == ""
@@ -287,8 +293,15 @@ def test_report_rerenders_saved_evaluation(refined: Path, tmp_path: Path) -> Non
         (lambda doc: doc["with_car"].update(error_rate=0.5, auc=0.9), "error_rate"),
         (lambda doc: doc.update(auc_delta=doc["auc_delta"] + 0.1), "auc_delta"),
         (lambda doc: doc["with_car"]["confusion"].update(class_order=["FAIL"] * 6), "class_order"),
+        (lambda doc: doc["with_car"]["confusion"]["cells"][0].__setitem__(0, 1.9), "cells entry"),
+        (lambda doc: doc["with_car"].update(auc_average=5), "auc_average"),
+        (lambda doc: doc["without_car"].update(classification_accuracy="0.5"), "classification_accuracy"),
+        (lambda doc: doc.update(auc_gain=0.1), "auc_gain"),
     ],
-    ids=["missing-auc", "error-rate-not-1-minus-auc", "inconsistent-auc-delta", "repeated-band"],
+    ids=[
+        "missing-auc", "error-rate-not-1-minus-auc", "inconsistent-auc-delta", "repeated-band",
+        "fractional-cell", "numeric-auc-average", "string-accuracy", "unknown-key",
+    ],
 )
 def test_report_rejects_malformed_saved_evaluation(
     refined: Path, tmp_path: Path, edit, message: str
@@ -340,15 +353,29 @@ def test_report_rejects_unrecognized_json(tmp_path: Path) -> None:
         run("report", str(path), "--format", format, expect=2)
 
 
+MODEL = {"b0": 1.5, "b1": 12.0, "b2": -5.0, "r_squared": 0.5, "model_kind": "quadratic", "n_observations": 9}
+
+
 @pytest.mark.parametrize("format", ["text", "json", "csv"])
-@pytest.mark.parametrize("doc", [{"b0": 1}, {"CS": {"b0": 1}}], ids=["pooled", "per-department"])
-def test_report_rejects_malformed_saved_model(tmp_path: Path, doc: dict, format: str) -> None:
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ({"b0": 1}, "missing model fields"),
+        ({"CS": {"b0": 1}}, "missing model fields"),
+        ({**MODEL, "b1": True}, "b1 must be a finite number, got True"),
+        ({"CS": {**MODEL, "b1": "12"}}, "b1 must be a finite number, got '12'"),
+        ({**MODEL, "b1": float("nan")}, "b1 must be a finite number, got nan"),
+        ({**MODEL, "n_observations": 2.9}, "n_observations must be an integer >= 0, got 2.9"),
+    ],
+    ids=["pooled", "per-department", "bool-b1", "string-b1", "nan-b1", "fractional-count"],
+)
+def test_report_rejects_malformed_saved_model(tmp_path: Path, doc: dict, message: str, format: str) -> None:
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["report", str(path), "--format", format])
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "missing model fields" in result.output
+    assert message in result.output
 
 
 def test_output_flag_writes_file_instead_of_stdout(cohort: Path, tmp_path: Path) -> None:
@@ -385,6 +412,9 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
         ("evaluate", {"predictor_years": "1,2,2"}),
         ("evaluate", {"banding": []}),
         ("evaluate", {"max_features": 4}),
+        ("evaluate", {"banding": [["0", "Fail"], [50, "First"]]}),
+        ("evaluate", {"banding": [[False, "Fail"], [50, "First"]]}),
+        ("evaluate", {"banding": [[0, "Fail"], [float("nan"), "First"]]}),
     ],
 )
 def test_bad_config_value_is_usage_error(

@@ -156,6 +156,9 @@ def test_banding_scheme_validation() -> None:
     with pytest.raises(ValueError):
         # higher marks must never map to a worse band
         BandingScheme(((0.0, DegreeBand.PASS), (40.0, DegreeBand.FAIL)))
+    with pytest.raises(ValueError, match="finite"):
+        # a NaN bound passes every comparison with its neighbours
+        BandingScheme(((0.0, DegreeBand.FAIL), (float("nan"), DegreeBand.FIRST)))
 
 
 def test_custom_scheme_single_band() -> None:
