@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import NoReturn
 
@@ -104,6 +105,27 @@ def _read_json_object(path: str, label: str) -> dict:
     return data
 
 
+def _json_kind_mismatch(kind: click.ParamType, value: object) -> str | None:
+    """The kind of JSON value an option of type ``kind`` needs, when
+    ``value`` is not one; None when it is.
+
+    A string is parsed like the flag's text.  Any other value must already
+    have the option's kind, since click would truncate a bool or a fraction
+    to an int and fails with a traceback on a list, or on a number where it
+    expects text or a boolean.
+    """
+    if value is None or isinstance(value, str):
+        return None
+    if isinstance(kind, click.types.BoolParamType):
+        return None if isinstance(value, bool) else "a boolean"
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(kind, click.types.IntParamType):
+        return None if number and (isinstance(value, int) or value.is_integer()) else "an integer"
+    if isinstance(kind, click.types.FloatParamType):
+        return None if number else "a number"
+    return "a string"
+
+
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Eager ``--config`` callback: the file becomes the command's default map.
 
@@ -123,11 +145,25 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     if unknown:
         _usage_error(f"unknown config keys in {path}: {', '.join(sorted(unknown))}")
     for key in sorted(raw.keys() & options.keys()):
+        value = raw[key]
+        expected = _json_kind_mismatch(options[key].type, value)
+        if expected:
+            _usage_error(f"invalid value for {key} in config {path}: {value!r} is not {expected}")
         try:
-            options[key].type_cast_value(ctx, raw[key])
+            options[key].type_cast_value(ctx, value)
         except click.BadParameter as exc:
             _usage_error(f"invalid value for {key} in config {path}: {exc.message}")
     ctx.default_map = raw
+
+
+class _FiniteFloatRange(click.FloatRange):
+    """A ``FloatRange`` that also rejects NaN, which fails no comparison."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{number} is not a finite number", param, ctx)
+        return number
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -693,7 +729,7 @@ def _comparison_report(result: ComparisonResult, format: str) -> str:
 @main.command()
 @click.argument("input_csv", type=click.Path(), required=False)
 @click.option("--from-fixture", is_flag=True, default=False, help="Print the published confusion-matrix fixtures instead of evaluating data.")
-@click.option("--test-fraction", type=click.FloatRange(0, 1, min_open=True, max_open=True), default=DEFAULT_TEST_FRACTION, help=f"Holdout test share.  [default: {DEFAULT_TEST_FRACTION}]")
+@click.option("--test-fraction", type=_FiniteFloatRange(0, 1, min_open=True, max_open=True), default=DEFAULT_TEST_FRACTION, help=f"Holdout test share.  [default: {DEFAULT_TEST_FRACTION}]")
 @click.option("--trees", type=int, default=100, help="Number of trees.  [default: 100]")
 @click.option("--max-features", type=int, default=None, help="Features tried per node.  [default: ceil(sqrt(d))]")
 @click.option("--min-leaf", type=int, default=1, help="Minimum rows per leaf.  [default: 1]")

@@ -28,7 +28,7 @@ from .forest import (
     ForestModel,
     ForestParams,
     holdout_split,
-    proba_vector,
+    proba_matrix,
     train_forest,
 )
 
@@ -293,10 +293,10 @@ def evaluate_forest(
     """Score a trained forest on labeled rows."""
     if not rows:
         raise ValueError("cannot evaluate on zero rows")
-    probabilities = np.array([proba_vector(model, row.features) for row in rows])
-    # argmax returns the first maximum, and the vector is ordered worst
+    probabilities = proba_matrix(model, np.array([row.features for row in rows], dtype=float))
+    # argmax returns the first maximum, and the columns are ordered worst
     # band first, so equal probabilities resolve to the worse band
-    predictions = [DegreeBand(int(np.argmax(p))) for p in probabilities]
+    predictions = [DegreeBand(band) for band in np.argmax(probabilities, axis=1).tolist()]
     truths = [row.label for row in rows]
     matrix = confusion_matrix(truths, predictions)
     overall_auc, per_class = auc_multiclass(probabilities, truths, average)

@@ -8,8 +8,8 @@ depth-first, left child before right, so a tree's stream consumption is
 a fixed function of its data.
 
 Split thresholds sit at midpoints between consecutive distinct sorted
-feature values; rows with feature <= threshold go left.  ``proba_vector``
-averages a row's leaf distributions over the trees; ``evaluate_forest``
+feature values; rows with feature <= threshold go left.  ``proba_matrix``
+averages each row's leaf distributions over the trees; ``evaluate_forest``
 takes the argmax, breaking ties toward the worse band.
 """
 from __future__ import annotations
@@ -139,72 +139,78 @@ def holdout_split(
     return train, test
 
 
-def _leaf(counts: np.ndarray) -> TreeNode:
-    return TreeNode(None, None, None, None, tuple(int(c) for c in counts))
-
-
 def _best_split(
-    x_matrix: np.ndarray,
-    y: np.ndarray,
-    indexes: np.ndarray,
+    columns: list[list[float]],
+    labels: list[int],
+    indexes: list[int],
+    counts: list[int],
     features: Sequence[int],
     min_leaf: int,
 ) -> tuple[float, int, float] | None:
     """Lowest weighted child Gini over candidate cuts; None if no cut fits.
 
-    Ties keep the first candidate encountered (feature draw order, then
-    lowest cut position), which makes the search deterministic.
+    ``counts`` are the node's label counts.  Ties keep the first candidate
+    encountered (feature draw order, then lowest cut position), which
+    makes the search deterministic.  Each Gini sums its squared band
+    shares worst band first, ``((a*a + b*b) + c*c) + ...``: another
+    grouping moves the last bit of some scores and so some splits.  Only
+    the bands present in the node are summed, since an absent band adds
+    an exact 0.0.
     """
     n = len(indexes)
+    present = [band for band in range(_N_BANDS) if counts[band]]
     best: tuple[float, int, float] | None = None
+    best_score = math.inf
     for feature in features:
-        values = x_matrix[indexes, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        sorted_labels = y[indexes[order]]
-
-        boundary = sorted_values[:-1] < sorted_values[1:]
-        if not boundary.any():
-            continue
-        one_hot = sorted_labels[:, None] == np.arange(_N_BANDS)[None, :]
-        prefix = np.cumsum(one_hot, axis=0)
-        left_counts = prefix[:-1].astype(float)
-        total = prefix[-1].astype(float)
-        left_n = np.arange(1, n, dtype=float)
-        right_n = n - left_n
-        valid = boundary & (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
-        gini_left = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - (((total - left_counts) / right_n[:, None]) ** 2).sum(axis=1)
-        weighted = (left_n * gini_left + right_n * gini_right) / n
-        weighted = np.where(valid, weighted, np.inf)
-        cut = int(np.argmin(weighted))
-        score = float(weighted[cut])
-        if best is None or score < best[0]:
-            low, high = sorted_values[cut], sorted_values[cut + 1]
-            threshold = (low + high) / 2.0
-            if threshold >= high:
+        column = columns[feature]
+        order = sorted(indexes, key=column.__getitem__)
+        left = [0] * _N_BANDS
+        cut_low = cut_high = None
+        low = column[order[0]]
+        for left_n, (row, following) in enumerate(zip(order, order[1:]), 1):
+            left[labels[row]] += 1
+            high = column[following]
+            if not low < high:
+                continue
+            if min_leaf <= left_n <= n - min_leaf:
+                right_n = n - left_n
+                left_sum = right_sum = 0.0
+                for band in present:
+                    share = left[band] / left_n
+                    left_sum += share * share
+                    share = (counts[band] - left[band]) / right_n
+                    right_sum += share * share
+                score = (left_n * (1.0 - left_sum) + right_n * (1.0 - right_sum)) / n
+                if score < best_score:
+                    best_score, cut_low, cut_high = score, low, high
+            low = high
+        if cut_low is not None:
+            threshold = (cut_low + cut_high) / 2.0
+            if threshold >= cut_high:
                 # midpoint rounded up to the right value; fall back so the
                 # left side keeps exactly the lower run
-                threshold = float(low)
-            best = (score, feature, float(threshold))
+                threshold = cut_low
+            best = (best_score, feature, threshold)
     return best
 
 
 def _grow_tree(
-    x_matrix: np.ndarray,
-    y: np.ndarray,
-    root_indexes: np.ndarray,
+    columns: list[list[float]],
+    labels: list[int],
+    root_indexes: list[int],
     rng: np.random.Generator,
     max_features: int,
     min_leaf: int,
 ) -> TreeNode:
-    """Iterative depth-first construction, left child expanded first."""
+    """Iterative depth-first construction, left child expanded first.
+
+    ``columns`` holds one list of values per feature and ``labels`` one
+    band index per training row; a node is the list of its row indexes.
+    """
     EXPAND, ASSEMBLE = 0, 1
     work: list[tuple[int, object]] = [(EXPAND, root_indexes)]
     built: list[TreeNode] = []
-    n_features = x_matrix.shape[1]
+    n_features = len(columns)
     while work:
         kind, payload = work.pop()
         if kind == ASSEMBLE:
@@ -213,23 +219,23 @@ def _grow_tree(
             left = built.pop()
             built.append(TreeNode(feature, threshold, left, right, None))
             continue
-        indexes: np.ndarray = payload  # type: ignore[assignment]
-        counts = np.bincount(y[indexes], minlength=_N_BANDS)
+        indexes: list[int] = payload  # type: ignore[assignment]
+        counts = [0] * _N_BANDS
+        for row in indexes:
+            counts[labels[row]] += 1
         n = len(indexes)
-        if counts.max() == n or n < 2 * min_leaf:
-            built.append(_leaf(counts))
-            continue
-        subset = rng.permutation(n_features)[:max_features]
-        split = _best_split(x_matrix, y, indexes, [int(f) for f in subset], min_leaf)
-        parent_gini = gini_impurity(counts)
-        if split is None or parent_gini - split[0] <= _MIN_IMPURITY_GAIN:
-            built.append(_leaf(counts))
+        split = None
+        if max(counts) < n and n >= 2 * min_leaf:
+            subset = rng.permutation(n_features)[:max_features].tolist()
+            split = _best_split(columns, labels, indexes, counts, subset, min_leaf)
+        if split is None or gini_impurity(counts) - split[0] <= _MIN_IMPURITY_GAIN:
+            built.append(TreeNode(None, None, None, None, tuple(counts)))
             continue
         _, feature, threshold = split
-        goes_left = x_matrix[indexes, feature] <= threshold
+        column = columns[feature]
         work.append((ASSEMBLE, (feature, threshold)))
-        work.append((EXPAND, indexes[~goes_left]))
-        work.append((EXPAND, indexes[goes_left]))
+        work.append((EXPAND, [row for row in indexes if column[row] > threshold]))
+        work.append((EXPAND, [row for row in indexes if column[row] <= threshold]))
     (root,) = built
     return root
 
@@ -261,13 +267,16 @@ def train_forest(
         else math.ceil(math.sqrt(n_features))
     )
 
+    columns = x_matrix.T.tolist()
+    labels = y.tolist()
+
     def build(tree_index: int) -> TreeNode:
         rng = substream(seed, _STREAM_TREE, tree_index)
         if params.bootstrap:
-            indexes = rng.integers(0, n_rows, size=n_rows)
+            indexes = rng.integers(0, n_rows, size=n_rows).tolist()
         else:
-            indexes = np.arange(n_rows)
-        return _grow_tree(x_matrix, y, indexes, rng, max_features, params.min_leaf)
+            indexes = list(range(n_rows))
+        return _grow_tree(columns, labels, indexes, rng, max_features, params.min_leaf)
 
     return ForestModel(
         trees=tuple(build(t) for t in range(params.tree_count)),
@@ -278,22 +287,30 @@ def train_forest(
     )
 
 
-def _leaf_for(tree: TreeNode, features: Sequence[float]) -> TreeNode:
-    node = tree
-    while not node.is_leaf:
-        node = node.left if features[node.feature] <= node.threshold else node.right
-    return node
+def proba_matrix(model: ForestModel, x_matrix: np.ndarray) -> np.ndarray:
+    """Averaged leaf class frequencies, one row per row of ``x_matrix``.
 
-
-def proba_vector(model: ForestModel, features: Sequence[float]) -> np.ndarray:
-    """Averaged leaf class frequencies, indexed by band order worst-first."""
-    if len(features) != model.n_features:
+    Columns follow band order worst-first.  Each tree routes all rows at
+    once; a row still adds its trees' leaf distributions in tree order.
+    """
+    x_matrix = np.asarray(x_matrix, dtype=float)
+    if x_matrix.ndim != 2 or x_matrix.shape[1] != model.n_features:
         raise ValueError(
-            f"feature arity {len(features)} does not match model arity "
+            f"feature matrix shape {x_matrix.shape} does not match model arity "
             f"{model.n_features}"
         )
-    accumulated = np.zeros(_N_BANDS)
+    accumulated = np.zeros((len(x_matrix), _N_BANDS))
     for tree in model.trees:
-        counts = np.array(_leaf_for(tree, features).counts, dtype=float)
-        accumulated += counts / counts.sum()
+        work = [(tree, np.arange(len(x_matrix)))]
+        while work:
+            node, rows = work.pop()
+            if not rows.size:
+                continue
+            if node.is_leaf:
+                counts = np.array(node.counts, dtype=float)
+                accumulated[rows] += counts / counts.sum()
+                continue
+            goes_left = x_matrix[rows, node.feature] <= node.threshold
+            work.append((node.right, rows[~goes_left]))
+            work.append((node.left, rows[goes_left]))
     return accumulated / len(model.trees)

@@ -390,6 +390,7 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
     run("stats", str(cohort), "--variant", "bayes", expect=2)
     run("evaluate", str(refined), "--jobs", "2", expect=2)
     run("evaluate", str(refined), "--test-fraction", "1.5", expect=2)
+    run("evaluate", str(refined), "--test-fraction", "nan", expect=2)
     # a predictor year may be neither the label's own year nor repeated
     run("evaluate", str(refined), "--predictor-years", "1,3", "--target-year", "3", expect=2)
     run("evaluate", str(refined), "--predictor-years", "1,2,2", expect=2)
@@ -415,6 +416,17 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
         ("evaluate", {"banding": [["0", "Fail"], [50, "First"]]}),
         ("evaluate", {"banding": [[False, "Fail"], [50, "First"]]}),
         ("evaluate", {"banding": [[0, "Fail"], [float("nan"), "First"]]}),
+        # click would truncate these to an int or pass NaN through its range
+        ("evaluate", {"trees": True}),
+        ("evaluate", {"trees": 4.7}),
+        ("evaluate", {"seed": 3.9}),
+        ("evaluate", {"test_fraction": float("nan")}),
+        # a number where click expects a boolean or text, or a list where
+        # it expects a number, crashed inside click
+        ("evaluate", {"no_bootstrap": 1}),
+        ("evaluate", {"format": 5}),
+        ("evaluate", {"trees": [4]}),
+        ("evaluate", {"test_fraction": [0.5]}),
     ],
 )
 def test_bad_config_value_is_usage_error(

@@ -1,6 +1,9 @@
 """From-scratch random forest: splits, determinism, prediction."""
 from __future__ import annotations
 
+import itertools
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,12 @@ from markprep import (
     evaluate_forest,
     gini_impurity,
     holdout_split,
-    proba_vector,
+    proba_matrix,
     train_forest,
 )
+from markprep.forest import _best_split
+
+_N_BANDS = len(DegreeBand)
 
 
 def blob_rows(rng: np.random.Generator, n: int = 200, noise: float = 0.6) -> list[FeatureRow]:
@@ -147,16 +153,18 @@ def test_min_leaf_equal_to_n_forces_a_stump() -> None:
 def test_probabilities_sum_to_one_over_all_bands() -> None:
     rows = blob_rows(np.random.default_rng(5), n=90)
     model = train_forest(rows, ForestParams(tree_count=7), seed=11)
-    vector = proba_vector(model, rows[0].features)
-    assert vector.shape == (6,)
-    assert vector.sum() == pytest.approx(1.0, abs=1e-12)
+    matrix = proba_matrix(model, np.array([row.features for row in rows]))
+    assert matrix.shape == (90, 6)
+    assert matrix.sum(axis=1) == pytest.approx(np.ones(90), abs=1e-12)
 
 
-def test_proba_vector_checks_arity() -> None:
+def test_proba_matrix_checks_arity() -> None:
     rows = blob_rows(np.random.default_rng(6), n=60)
     model = train_forest(rows, ForestParams(tree_count=3), seed=1)
     with pytest.raises(ValueError):
-        proba_vector(model, (1.0, 2.0, 3.0))
+        proba_matrix(model, np.array([(1.0, 2.0, 3.0)]))
+    with pytest.raises(ValueError):
+        proba_matrix(model, np.array([1.0, 2.0]))
 
 
 def test_tied_leaf_counts_predict_the_worse_band() -> None:
@@ -186,3 +194,115 @@ def test_bootstrap_changes_trees_but_disabling_it_does_not_break_determinism() -
     plain_b = train_forest(rows, ForestParams(tree_count=6, bootstrap=False), seed=4)
     assert plain_a.trees == plain_b.trees
     assert boot.trees != plain_a.trees
+
+
+def _numpy_best_split(
+    x_matrix: np.ndarray,
+    y: np.ndarray,
+    indexes: np.ndarray,
+    features: Sequence[int],
+    min_leaf: int,
+) -> tuple[float, int, float] | None:
+    """Reference split search: the vectorized numpy form of the search,
+    kept as the oracle for the list-based one."""
+    n = len(indexes)
+    best: tuple[float, int, float] | None = None
+    for feature in features:
+        values = x_matrix[indexes, feature]
+        order = np.argsort(values, kind="stable")
+        sorted_values = values[order]
+        sorted_labels = y[indexes[order]]
+
+        boundary = sorted_values[:-1] < sorted_values[1:]
+        if not boundary.any():
+            continue
+        one_hot = sorted_labels[:, None] == np.arange(_N_BANDS)[None, :]
+        prefix = np.cumsum(one_hot, axis=0)
+        left_counts = prefix[:-1].astype(float)
+        total = prefix[-1].astype(float)
+        left_n = np.arange(1, n, dtype=float)
+        right_n = n - left_n
+        valid = boundary & (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            continue
+        gini_left = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
+        gini_right = 1.0 - (((total - left_counts) / right_n[:, None]) ** 2).sum(axis=1)
+        weighted = (left_n * gini_left + right_n * gini_right) / n
+        weighted = np.where(valid, weighted, np.inf)
+        cut = int(np.argmin(weighted))
+        score = float(weighted[cut])
+        if best is None or score < best[0]:
+            low, high = sorted_values[cut], sorted_values[cut + 1]
+            threshold = (low + high) / 2.0
+            if threshold >= high:
+                # midpoint rounded up to the right value; fall back so the
+                # left side keeps exactly the lower run
+                threshold = float(low)
+            best = (score, feature, float(threshold))
+    return best
+
+
+def _random_node_data(rng: np.random.Generator, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Five columns: continuous, a few tied values, constant, adjacent
+    floats (whose midpoints round onto a neighbour), and integer marks."""
+    x_matrix = np.column_stack(
+        [
+            rng.normal(60.0, 12.0, n_rows),
+            rng.integers(0, 4, n_rows) * 2.5,
+            np.full(n_rows, 7.0),
+            1.0 + rng.integers(0, 4, n_rows) * np.finfo(float).eps,
+            rng.integers(35, 80, n_rows).astype(float),
+        ]
+    )
+    bands = rng.choice(_N_BANDS, size=int(rng.integers(1, _N_BANDS + 1)), replace=False)
+    return x_matrix, rng.choice(bands, size=n_rows)
+
+
+def test_split_search_matches_numpy_reference_bit_for_bit() -> None:
+    rng = np.random.default_rng(20240607)
+    n_features = 3
+    orders = [
+        order
+        for size in range(1, n_features + 1)
+        for order in itertools.permutations(range(n_features), size)
+    ]
+    fallbacks = 0
+    for size in (2, 3, 4, 5, 7, 11, 16, 32, 61, 122, 200, 300):
+        x_all, y_all = _random_node_data(rng, 300)
+        for picked in itertools.combinations(range(x_all.shape[1]), n_features):
+            x_matrix = x_all[:, picked]
+            indexes = rng.integers(0, 300, size=size)
+            counts = np.bincount(y_all[indexes], minlength=_N_BANDS).tolist()
+            columns, labels = x_matrix.T.tolist(), y_all.tolist()
+            for min_leaf in (1, 2, 3):
+                for order in orders:
+                    expected = _numpy_best_split(x_matrix, y_all, indexes, order, min_leaf)
+                    got = _best_split(columns, labels, indexes.tolist(), counts, order, min_leaf)
+                    assert got == expected, (size, picked, min_leaf, order)
+                    if got is not None and picked[got[1]] == 3:
+                        values = x_matrix[indexes, got[1]]
+                        high = values[values > got[2]].min()
+                        fallbacks += (got[2] + high) / 2.0 >= high
+    # the adjacent-float column reached the threshold fallback
+    assert fallbacks
+
+
+def _walk_proba(model: ForestModel, features: Sequence[float]) -> np.ndarray:
+    accumulated = np.zeros(_N_BANDS)
+    for tree in model.trees:
+        node = tree
+        while not node.is_leaf:
+            node = node.left if features[node.feature] <= node.threshold else node.right
+        counts = np.array(node.counts, dtype=float)
+        accumulated += counts / counts.sum()
+    return accumulated / len(model.trees)
+
+
+def test_proba_matrix_equals_a_per_row_tree_walk() -> None:
+    rng = np.random.default_rng(31)
+    rows = blob_rows(rng, n=150, noise=1.5)
+    # a minimum leaf size keeps leaves mixed, so their shares are inexact
+    model = train_forest(rows[:60], ForestParams(tree_count=25, min_leaf=7), seed=7)
+    x_matrix = np.array([row.features for row in rows])
+    expected = np.array([_walk_proba(model, features) for features in x_matrix])
+    assert np.array_equal(proba_matrix(model, x_matrix), expected)
