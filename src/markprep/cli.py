@@ -786,7 +786,6 @@ def evaluate(
         refined_marks=refined_marks,
         predictor_years=_parse_predictor_years(ctx, predictor_years, target_year),
         target_year=target_year,
-        include_car=True,
         scheme=scheme,
     )
     if len(table.rows) < 2:

@@ -7,7 +7,7 @@ The headline error rate follows the source convention: error rate is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,10 +51,9 @@ def build_feature_table(
     refined_marks: Sequence[float] | None = None,
     predictor_years: Sequence[int] = (1, 2),
     target_year: int = 3,
-    include_car: bool = True,
     scheme: BandingScheme = DEFAULT_BANDING,
 ) -> FeatureTable:
-    """One row per student: predictor-year averages, optionally the mean
+    """One row per student: predictor-year averages and the mean
     coursework ratio over all the student's modules, labeled with the
     target-year band.
 
@@ -86,17 +85,14 @@ def build_feature_table(
         features = [
             year_average(outcomes, year, marks) for year in predictor_years
         ]
-        if include_car:
-            cars = [compute_car(outcome.weighting).value for outcome in outcomes]
-            features.append(sum(cars) / len(cars))
+        cars = [compute_car(outcome.weighting).value for outcome in outcomes]
+        features.append(sum(cars) / len(cars))
         target_average = year_average(outcomes, target_year, marks)
         label = classify_band(min(100.0, max(0.0, target_average)), scheme)
         rows.append(FeatureRow(student_id, tuple(features), label))
 
-    columns = [f"year{year}_avg" for year in predictor_years]
-    if include_car:
-        columns.append(CAR_COLUMN)
-    return FeatureTable(tuple(columns), tuple(rows))
+    columns = (*[f"year{year}_avg" for year in predictor_years], CAR_COLUMN)
+    return FeatureTable(columns, tuple(rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,17 +167,8 @@ def confusion_matrix(
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    i = 0
-    sorted_values = values[order]
-    while i < len(values):
-        j = i
-        while j < len(values) and sorted_values[j] == sorted_values[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)
-        i = j
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def auc_binary(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -227,38 +214,55 @@ def auc_multiclass(
     if len(present) < 2:
         raise UndefinedAucError("need at least two bands in the labels")
 
-    per_class: dict[DegreeBand, float] = {}
-    for band in present:
-        positives = label_indexes == int(band)
-        per_class[band] = auc_binary(probs[:, int(band)], positives)
+    per_class = {band: auc_binary(probs[:, int(band)], label_indexes == int(band)) for band in present}
+    counts = {band: int((label_indexes == int(band)).sum()) for band in present}
+    return _average_auc(per_class, counts, average), per_class
 
-    if average == "weighted":
-        weights = {
-            band: float((label_indexes == int(band)).sum()) / len(labels)
-            for band in present
-        }
-        overall = sum(per_class[band] * weights[band] for band in present) / sum(
-            weights.values()
-        )
-    else:
-        overall = sum(per_class.values()) / len(present)
-    return float(overall), per_class
+
+def _average_auc(per_class: Mapping[DegreeBand, float], counts: Mapping[DegreeBand, int], average: str) -> float:
+    """Per-band AUCs weighted by ``counts``, the true rows per band, or
+    equally (``macro``).  Sums run worst band first whatever the mapping
+    order, so a report read back from a file reproduces its saved AUC."""
+    present = [band for band in BAND_ORDER if band in per_class]
+    if average == "macro":
+        return sum(per_class[band] for band in present) / len(present)
+    total = sum(counts.values())
+    weights = [counts[band] / total for band in present]
+    return sum(per_class[band] * weight for band, weight in zip(present, weights)) / sum(weights)
 
 
 @dataclass(frozen=True, slots=True)
 class EvaluationReport:
+    """One scoring run; every headline number derives from these fields."""
+
     confusion: ConfusionMatrix
-    classification_accuracy: float
-    auc: float
-    error_rate: float
     per_class_auc: dict[DegreeBand, float]
     auc_average: str
 
     def __post_init__(self) -> None:
-        if abs(self.error_rate - (1.0 - self.auc)) > 1e-9:
-            raise ValueError("error_rate must equal 1 - auc")
         if self.auc_average not in ("weighted", "macro"):
             raise ValueError(f"auc_average must be 'weighted' or 'macro', got {self.auc_average!r}")
+        scored = sorted(band.name for band, total in self._band_counts().items() if total)
+        if sorted(band.name for band in self.per_class_auc) != scored or len(scored) < 2:
+            raise ValueError(f"per_class_auc must name exactly the bands with true rows, at least two: {scored}")
+        for band, value in self.per_class_auc.items():
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"per_class_auc {band.name} must lie in [0, 1], got {value!r}")
+
+    def _band_counts(self) -> dict[DegreeBand, int]:
+        return dict(zip(self.confusion.class_order, self.confusion.row_totals()))
+
+    @property
+    def classification_accuracy(self) -> float:
+        return self.confusion.accuracy
+
+    @property
+    def auc(self) -> float:
+        return _average_auc(self.per_class_auc, self._band_counts(), self.auc_average)
+
+    @property
+    def error_rate(self) -> float:
+        return 1.0 - self.auc
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,23 +270,30 @@ class EvaluationReport:
             "classification_accuracy": self.classification_accuracy,
             "auc": self.auc,
             "error_rate": self.error_rate,
-            "per_class_auc": {
-                band.name: value for band, value in self.per_class_auc.items()
-            },
+            "per_class_auc": {band.name: value for band, value in self.per_class_auc.items()},
             "auc_average": self.auc_average,
         }
 
     @classmethod
     def from_json_dict(cls, data: object) -> "EvaluationReport":
-        numbers = ("classification_accuracy", "auc", "error_rate")
+        numbers = ("classification_accuracy", "error_rate", "auc")
         data = read_fields(data, "evaluation report", ("confusion", *numbers, "per_class_auc", "auc_average"))
+        stated = {name: read_number(name, data[name]) for name in numbers}
         per_class = read_fields(data["per_class_auc"], "per_class_auc", (), [band.name for band in DegreeBand])
-        return cls(
+        report = cls(
             confusion=ConfusionMatrix.from_json_dict(data["confusion"]),
-            **{name: read_number(name, data[name]) for name in numbers},
             per_class_auc={DegreeBand[name]: read_number(name, value) for name, value in per_class.items()},
             auc_average=read_string("auc_average", data["auc_average"]),
         )
+        for name in numbers:
+            _check_stated(name, stated[name], getattr(report, name))
+        return report
+
+
+def _check_stated(name: str, stated: float, derived: float) -> None:
+    """A saved derived number must equal, exactly, the value re-derived."""
+    if stated != derived:
+        raise ValueError(f"{name} {stated!r} does not match {derived!r}, the value the confusion counts and per-band AUCs give")
 
 
 def evaluate_forest(
@@ -298,27 +309,18 @@ def evaluate_forest(
     # band first, so equal probabilities resolve to the worse band
     predictions = [DegreeBand(band) for band in np.argmax(probabilities, axis=1).tolist()]
     truths = [row.label for row in rows]
-    matrix = confusion_matrix(truths, predictions)
-    overall_auc, per_class = auc_multiclass(probabilities, truths, average)
-    return EvaluationReport(
-        confusion=matrix,
-        classification_accuracy=matrix.accuracy,
-        auc=overall_auc,
-        error_rate=1.0 - overall_auc,
-        per_class_auc=per_class,
-        auc_average=average,
-    )
+    _, per_class = auc_multiclass(probabilities, truths, average)
+    return EvaluationReport(confusion_matrix(truths, predictions), per_class, average)
 
 
 @dataclass(frozen=True, slots=True)
 class ComparisonResult:
     with_car: EvaluationReport
     without_car: EvaluationReport
-    auc_delta: float
 
-    def __post_init__(self) -> None:
-        if abs(self.auc_delta - (self.with_car.auc - self.without_car.auc)) > 1e-9:
-            raise ValueError("auc_delta must equal the with-ratio minus the without-ratio AUC")
+    @property
+    def auc_delta(self) -> float:
+        return self.with_car.auc - self.without_car.auc
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,11 +332,13 @@ class ComparisonResult:
     @classmethod
     def from_json_dict(cls, data: object) -> "ComparisonResult":
         data = read_fields(data, "evaluation", ("with_car", "without_car", "auc_delta"))
-        return cls(
+        stated = read_number("auc_delta", data["auc_delta"])
+        result = cls(
             with_car=EvaluationReport.from_json_dict(data["with_car"]),
             without_car=EvaluationReport.from_json_dict(data["without_car"]),
-            auc_delta=read_number("auc_delta", data["auc_delta"]),
         )
+        _check_stated("auc_delta", stated, result.auc_delta)
+        return result
 
 
 def _mask_column(rows: Iterable[FeatureRow], column_index: int) -> list[FeatureRow]:
@@ -373,11 +377,7 @@ def compare_with_without_car(
     model_without = train_forest(masked_train, params, seed)
     report_without = evaluate_forest(model_without, masked_test, average)
 
-    return ComparisonResult(
-        with_car=report_with,
-        without_car=report_without,
-        auc_delta=report_with.auc - report_without.auc,
-    )
+    return ComparisonResult(with_car=report_with, without_car=report_without)
 
 
 def render_aligned_table(rows: Sequence[Sequence[str]]) -> str:

@@ -81,10 +81,7 @@ class ForestParams:
 @dataclass(frozen=True, slots=True)
 class ForestModel:
     trees: tuple[TreeNode, ...]
-    params: ForestParams
-    resolved_max_features: int
     n_features: int
-    seed: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,13 +275,7 @@ def train_forest(
             indexes = list(range(n_rows))
         return _grow_tree(columns, labels, indexes, rng, max_features, params.min_leaf)
 
-    return ForestModel(
-        trees=tuple(build(t) for t in range(params.tree_count)),
-        params=params,
-        resolved_max_features=max_features,
-        n_features=n_features,
-        seed=seed,
-    )
+    return ForestModel(tuple(build(t) for t in range(params.tree_count)), n_features)
 
 
 def proba_matrix(model: ForestModel, x_matrix: np.ndarray) -> np.ndarray:

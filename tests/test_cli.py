@@ -286,6 +286,11 @@ def test_report_rerenders_saved_evaluation(refined: Path, tmp_path: Path) -> Non
     assert csv_text.splitlines()[0] == "metric,with_car,without_car"
 
 
+def band_without_true_rows(report: dict) -> str:
+    confusion = report["confusion"]
+    return next(name for name, row in zip(confusion["class_order"], confusion["cells"]) if not sum(row))
+
+
 @pytest.mark.parametrize(
     ("edit", "message"),
     [
@@ -297,10 +302,17 @@ def test_report_rerenders_saved_evaluation(refined: Path, tmp_path: Path) -> Non
         (lambda doc: doc["with_car"].update(auc_average=5), "auc_average"),
         (lambda doc: doc["without_car"].update(classification_accuracy="0.5"), "classification_accuracy"),
         (lambda doc: doc.update(auc_gain=0.1), "auc_gain"),
+        (lambda doc: doc["with_car"].update(classification_accuracy=0.99), "classification_accuracy"),
+        (lambda doc: doc["with_car"].update(auc=0.9999, error_rate=1.0 - 0.9999), "does not match"),
+        (lambda doc: doc["with_car"].update(per_class_auc={}), "per_class_auc"),
+        (lambda doc: doc["with_car"]["per_class_auc"].update(FIRST=1.5), "per_class_auc"),
+        (lambda doc: doc["with_car"]["per_class_auc"].update({band_without_true_rows(doc["with_car"]): 0.5}), "per_class_auc"),
     ],
     ids=[
         "missing-auc", "error-rate-not-1-minus-auc", "inconsistent-auc-delta", "repeated-band",
         "fractional-cell", "numeric-auc-average", "string-accuracy", "unknown-key",
+        "accuracy-not-from-matrix", "auc-not-from-per-band-aucs", "empty-per-class-auc",
+        "per-band-auc-above-one", "auc-for-band-without-true-rows",
     ],
 )
 def test_report_rejects_malformed_saved_evaluation(

@@ -8,9 +8,12 @@ import pytest
 
 from markprep import (
     CAR_COLUMN,
+    ComparisonResult,
     ConfusionMatrix,
     DegreeBand,
     EvaluationReport,
+    FeatureRow,
+    FeatureTable,
     ForestParams,
     StudentModuleOutcome,
     UndefinedAucError,
@@ -64,8 +67,6 @@ def test_feature_table_shape_and_columns() -> None:
     assert table.column_names == ("year1_avg", "year2_avg", CAR_COLUMN)
     assert len(table.rows) == 12
     assert table.rows[0].student_id == "S000"
-    no_car = build_feature_table(records, include_car=False)
-    assert no_car.column_names == ("year1_avg", "year2_avg")
 
 
 def test_feature_table_values() -> None:
@@ -213,17 +214,43 @@ def test_auc_multiclass_null_is_half() -> None:
     assert overall == pytest.approx(0.5, abs=0.03)
 
 
-def test_report_error_rate_invariant() -> None:
-    matrix = confusion_matrix([DegreeBand.PASS, DegreeBand.FIRST], [DegreeBand.PASS, DegreeBand.FIRST])
-    with pytest.raises(ValueError):
-        EvaluationReport(
-            confusion=matrix,
-            classification_accuracy=1.0,
-            auc=0.9,
-            error_rate=0.2,
-            per_class_auc={},
-            auc_average="weighted",
-        )
+@pytest.mark.parametrize(
+    "per_class",
+    [
+        {},
+        {DegreeBand.PASS: 0.9},
+        {DegreeBand.PASS: 0.9, DegreeBand.FIRST: 0.9, DegreeBand.THIRD: 0.5},
+        {DegreeBand.PASS: 0.9, DegreeBand.FIRST: 1.5},
+        {DegreeBand.PASS: -0.1, DegreeBand.FIRST: 0.9},
+        {DegreeBand.PASS: float("nan"), DegreeBand.FIRST: 0.9},
+    ],
+    ids=["empty", "band-missing", "band-without-true-rows", "above-one", "below-zero", "nan"],
+)
+def test_report_per_class_auc_must_cover_the_true_bands_in_range(per_class) -> None:
+    truths = [DegreeBand.PASS, DegreeBand.FIRST, DegreeBand.FIRST]
+    matrix = confusion_matrix(truths, [DegreeBand.PASS] * 3)
+    report = EvaluationReport(matrix, {DegreeBand.PASS: 0.25, DegreeBand.FIRST: 1.0}, "weighted")
+    assert report.classification_accuracy == 1 / 3
+    assert report.auc == (0.25 * (1 / 3) + 1.0 * (2 / 3)) / (1 / 3 + 2 / 3)
+    assert report.error_rate == 1.0 - report.auc
+    with pytest.raises(ValueError, match="per_class_auc"):
+        EvaluationReport(matrix, per_class, "weighted")
+    with pytest.raises(ValueError, match="auc_average"):
+        EvaluationReport(matrix, {DegreeBand.PASS: 0.25, DegreeBand.FIRST: 1.0}, "median")
+
+
+@pytest.mark.parametrize("average", ["weighted", "macro"])
+def test_report_auc_is_auc_multiclass_in_any_key_order(average: str) -> None:
+    rng = np.random.default_rng(8)
+    labels = [DegreeBand(int(b)) for b in rng.integers(0, 6, 97)]
+    probs = rng.random((97, 6))
+    probs /= probs.sum(axis=1, keepdims=True)
+    overall, per_class = auc_multiclass(probs, labels, average)
+    matrix = confusion_matrix(labels, [DegreeBand(int(b)) for b in probs.argmax(axis=1)])
+    alphabetical = {band: per_class[band] for band in sorted(per_class, key=lambda band: band.name)}
+    assert list(alphabetical) != list(per_class)
+    for ordered in (per_class, alphabetical):
+        assert EvaluationReport(matrix, ordered, average).auc == overall
 
 
 def test_evaluate_forest_end_to_end() -> None:
@@ -246,8 +273,18 @@ def test_compare_uses_one_split_and_reports_delta() -> None:
     assert result.with_car.confusion.total() == result.without_car.confusion.total() == 24
 
 
+def test_comparison_json_round_trip() -> None:
+    table = build_feature_table(transcript_rows(n_students=60))
+    result = compare_with_without_car(table, ForestParams(tree_count=5), seed=13, test_fraction=0.4)
+    assert ComparisonResult.from_json_dict(result.to_json_dict()) == result
+
+
 def test_compare_requires_ratio_column() -> None:
-    table = build_feature_table(transcript_rows(n_students=40), include_car=False)
+    with_car = build_feature_table(transcript_rows(n_students=40))
+    table = FeatureTable(
+        with_car.column_names[:-1],
+        tuple(FeatureRow(row.student_id, row.features[:-1], row.label) for row in with_car.rows),
+    )
     with pytest.raises(ValueError):
         compare_with_without_car(table, ForestParams(tree_count=3), seed=1)
 

@@ -169,13 +169,7 @@ def test_proba_matrix_checks_arity() -> None:
 
 def test_tied_leaf_counts_predict_the_worse_band() -> None:
     leaf = TreeNode(None, None, None, None, (0, 3, 0, 3, 0, 0))
-    model = ForestModel(
-        trees=(leaf,),
-        params=ForestParams(tree_count=1, max_features=1),
-        resolved_max_features=1,
-        n_features=1,
-        seed=0,
-    )
+    model = ForestModel((leaf,), 1)
     rows = [
         FeatureRow("S1", (0.0,), DegreeBand.PASS),
         FeatureRow("S2", (0.0,), DegreeBand.LOWER_SECOND),
