@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -129,12 +130,19 @@ def _read_text(source: str | Path | IO) -> str:
     return Path(source).read_text(encoding="utf-8")
 
 
+# A mark as repr(float) or a fixed-point export writes it; float() alone
+# also takes "+5", " 5", "5_0" and non-ASCII digits.
+_MARK_GRAMMAR = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
 def _parse_mark(text: str, low: float = 0.0, high: float = 100.0) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
     if not low <= value <= high:
         raise ValueError(f"out of range [{low:g}, {high:g}]: {text!r}")
+    if not _MARK_GRAMMAR.fullmatch(text):
+        raise ValueError(f"not a plain decimal number: {text!r}")
     return value
 
 
@@ -155,12 +163,9 @@ _WEIGHTINGS: dict[tuple[int, int], AssessmentWeighting] = {}
 
 
 def _parse_count(text: str) -> int | None:
-    """A non-negative integer, or None when ``text`` is not one."""
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if value >= 0 else None
+    """A non-negative integer in ASCII digits, or None when ``text`` is not
+    one."""
+    return int(text) if text.isdecimal() and text.isascii() else None
 
 
 def _reject(

@@ -97,6 +97,39 @@ def test_malformed_and_out_of_range_fields_rejected() -> None:
     ]
 
 
+def test_numbers_must_be_plain_ascii_decimals() -> None:
+    rows = [
+        "S1,CS,3_0,M1,60,58,62,50,50",  # digit separator in a year
+        "S2,CS,1,M2,+60,58,62,50,50",  # explicit plus sign
+        "S3,CS,1,M3,6_0.5,58,63,50,50",  # digit separator in a mark
+        "S4,CS,1,M4,\u0665\u0660,48,52,50,50",  # Arabic-Indic digits
+        "S5,CS,1,M5,60,60,, 100,0",  # padded weight
+    ]
+    records, report = parse(HEADER + "\n" + "\n".join(rows) + "\n")
+    assert records == []
+    assert [(i.field, i.severity) for i in report.issues] == [
+        ("year_level", Severity.REJECT),
+        ("module_mark", Severity.REJECT),
+        ("module_mark", Severity.REJECT),
+        ("module_mark", Severity.REJECT),
+        ("exam_weight", Severity.REJECT),
+    ]
+
+
+def test_mark_grammar_takes_what_the_writers_emit() -> None:
+    # repr forms (exponents, negative refined marks) and fixed-point text
+    text = (
+        HEADER + f",{REFINED_MARK_COLUMN}\n"
+        "S1,CS,1,M1,1e-05,1e-05,1e-05,50,50,-3.25\n"
+        "S2,CS,1,M2,60.00,58.00,62.00,50,50,1.5e-07\n"
+        "S3,CS,1,M3,0,0,-0.0,50,50,-1e+16\n"
+    )
+    records, marks, report = parse_refined_transcript_csv(io.StringIO(text))
+    assert report.rejected_count == 0
+    assert [r.module_mark for r in records] == [1e-05, 60.0, 0.0]
+    assert marks == [-3.25, 1.5e-07, -1e16]
+
+
 def test_one_bad_row_does_not_poison_the_rest() -> None:
     text = f"{HEADER}\nS1,CS,1,M1,60,58,62,50,50\nS2,CS,1,M2,999,58,62,50,50\nS3,CS,1,M3,70,72,68,50,50\n"
     records, report = parse(text)
