@@ -27,6 +27,7 @@ from markprep import (
     render_report_text,
     train_forest,
 )
+from markprep.evaluation import _midranks
 from markprep.fixtures import PUBLISHED_CLASS_ORDER
 from test_core import make_outcome
 
@@ -167,6 +168,31 @@ def test_auc_binary_equals_pairwise_count_fuzz() -> None:
                         pairwise += 0.5
         # the rank formula is algebraically the pairwise count, float-exact
         assert auc_binary(scores, labels) == pairwise / pairs
+
+
+def loop_midranks(values: np.ndarray) -> np.ndarray:
+    """Reference: walk the stably sorted values, one tie run at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values))
+    sorted_values, i = values[order], 0
+    while i < len(values):
+        j = i
+        while j < len(values) and sorted_values[j] == sorted_values[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j + 1)
+        i = j
+    return ranks
+
+
+def test_midranks_equal_the_tie_run_loop() -> None:
+    rng = np.random.default_rng(77)
+    for _ in range(500):
+        n = int(rng.integers(1, 60))
+        # heavy ties, with -0.0 beside 0.0
+        values = rng.integers(0, 4, n) * rng.choice([-1.0, 1.0], n) / rng.choice([1.0, 3.0, 7.0])
+        got = _midranks(values)
+        assert got.dtype == loop_midranks(values).dtype
+        assert np.array_equal(got, loop_midranks(values))
 
 
 def test_auc_multiclass_reduces_to_binary_for_two_bands() -> None:
