@@ -11,11 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
-
-
-class EmptySelectionError(ValueError):
-    """Raised when an aggregate is requested over zero matching records."""
+from typing import Sequence
 
 
 # Readers for the JSON documents markprep loads (saved models and
@@ -249,35 +245,3 @@ DEFAULT_BANDING = BandingScheme(
         (70.0, DegreeBand.FIRST),
     )
 )
-
-
-def classify_band(average_mark: float, scheme: BandingScheme = DEFAULT_BANDING) -> DegreeBand:
-    """Band for a year or degree average under the given scheme."""
-    return scheme.classify(average_mark)
-
-
-def year_average(
-    outcomes: Iterable[StudentModuleOutcome],
-    year_level: int,
-    marks: Sequence[float] | None = None,
-) -> float:
-    """Unweighted mean module mark for one year of one student's transcript.
-
-    The caller is expected to pass a single student's outcomes; records from
-    other years are ignored.  ``marks`` optionally overrides the stored
-    module marks positionally (e.g. with refined marks); it must align with
-    ``outcomes``.
-    """
-    outcomes = list(outcomes)
-    if marks is not None and len(marks) != len(outcomes):
-        raise ValueError(
-            f"marks length {len(marks)} does not match outcomes length {len(outcomes)}"
-        )
-    selected = [
-        outcome.module_mark if marks is None else marks[i]
-        for i, outcome in enumerate(outcomes)
-        if outcome.year_level == year_level
-    ]
-    if not selected:
-        raise EmptySelectionError(f"no modules recorded for year {year_level}")
-    return sum(selected) / len(selected)

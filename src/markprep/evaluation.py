@@ -16,9 +16,6 @@ from .core import (
     BandingScheme,
     DegreeBand,
     StudentModuleOutcome,
-    classify_band,
-    compute_car,
-    year_average,
 )
 from .core import read_count, read_fields, read_list, read_number, read_string
 from .fixtures import PUBLISHED_CLASS_ORDER
@@ -68,28 +65,26 @@ def build_feature_table(
             f"refined marks length {len(refined_marks)} does not match "
             f"record count {len(records)}"
         )
-    by_student: dict[str, list[int]] = {}
-    for index, record in enumerate(records):
-        by_student.setdefault(record.student_id, []).append(index)
+    marks = refined_marks if refined_marks is not None else [r.module_mark for r in records]
+    # each student's marks by year and the ratio of every module, in
+    # record order; students keep the order of their first record
+    by_student: dict[str, tuple[dict[int, list[float]], list[float]]] = {}
+    for record, mark in zip(records, marks):
+        student = by_student.get(record.student_id)
+        if student is None:
+            student = by_student[record.student_id] = ({}, [])
+        student[0].setdefault(record.year_level, []).append(mark)
+        student[1].append(record.car.value)
 
     needed_years = [*predictor_years, target_year]
     rows: list[FeatureRow] = []
-    for student_id, indexes in by_student.items():
-        outcomes = [records[i] for i in indexes]
-        years_present = {outcome.year_level for outcome in outcomes}
-        if not all(year in years_present for year in needed_years):
+    for student_id, (year_marks, cars) in by_student.items():
+        if not all(year in year_marks for year in needed_years):
             continue
-        marks = (
-            [refined_marks[i] for i in indexes] if refined_marks is not None else None
-        )
-        features = [
-            year_average(outcomes, year, marks) for year in predictor_years
-        ]
-        cars = [compute_car(outcome.weighting).value for outcome in outcomes]
-        features.append(sum(cars) / len(cars))
-        target_average = year_average(outcomes, target_year, marks)
-        label = classify_band(min(100.0, max(0.0, target_average)), scheme)
-        rows.append(FeatureRow(student_id, tuple(features), label))
+        averages = {year: sum(year_marks[year]) / len(year_marks[year]) for year in needed_years}
+        features = (*[averages[year] for year in predictor_years], sum(cars) / len(cars))
+        label = scheme.classify(min(100.0, max(0.0, averages[target_year])))
+        rows.append(FeatureRow(student_id, features, label))
 
     columns = (*[f"year{year}_avg" for year in predictor_years], CAR_COLUMN)
     return FeatureTable(columns, tuple(rows))

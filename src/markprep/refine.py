@@ -291,13 +291,12 @@ def run_refinement_pipeline(
         models_by_record = [model] * len(records)
         selected: RefinementModel | None = model
     elif per_department:
+        # departments in order of first appearance, points in record order
+        points_by_department: dict[str, list[tuple[Car, float]]] = {}
+        for car, record in zip(cars, records):
+            points_by_department.setdefault(record.department, []).append((car, record.module_mark))
         department_models = {}
-        for department in ratio_classes:
-            points = [
-                (car, record.module_mark)
-                for car, record in zip(cars, records)
-                if record.department == department
-            ]
+        for department, points in points_by_department.items():
             fitted, _, _, fit_warnings = _fit_with_fallback(points)
             department_models[department] = fitted
             warnings.extend(f"{department}: {w}" for w in fit_warnings)

@@ -1,4 +1,4 @@
-"""Domain types: weightings, ratios, banding, year averages."""
+"""Domain types: weightings, ratios, banding."""
 from __future__ import annotations
 
 import pytest
@@ -9,11 +9,8 @@ from markprep import (
     BandingScheme,
     Car,
     DegreeBand,
-    EmptySelectionError,
     StudentModuleOutcome,
-    classify_band,
     compute_car,
-    year_average,
 )
 
 
@@ -134,14 +131,14 @@ def test_default_banding_boundaries() -> None:
         (100.0, DegreeBand.FIRST),
     ]
     for mark, expected in cases:
-        assert classify_band(mark) is expected, mark
+        assert DEFAULT_BANDING.classify(mark) is expected, mark
 
 
 def test_classify_rejects_out_of_range_average() -> None:
     with pytest.raises(ValueError):
-        classify_band(-0.001)
+        DEFAULT_BANDING.classify(-0.001)
     with pytest.raises(ValueError):
-        classify_band(100.001)
+        DEFAULT_BANDING.classify(100.001)
 
 
 def test_banding_scheme_validation() -> None:
@@ -165,27 +162,3 @@ def test_custom_scheme_single_band() -> None:
     scheme = BandingScheme(((0.0, DegreeBand.PASS),))
     assert scheme.classify(0.0) is DegreeBand.PASS
     assert scheme.classify(100.0) is DegreeBand.PASS
-
-
-def test_year_average_filters_by_year() -> None:
-    outcomes = [
-        make_outcome(mark=50.0, year_level=1, module_code="A"),
-        make_outcome(mark=70.0, year_level=1, module_code="B"),
-        make_outcome(mark=90.0, year_level=2, module_code="C"),
-    ]
-    assert year_average(outcomes, 1) == pytest.approx(60.0)
-    assert year_average(outcomes, 2) == pytest.approx(90.0)
-    with pytest.raises(EmptySelectionError):
-        year_average(outcomes, 3)
-
-
-def test_year_average_positional_marks_override() -> None:
-    outcomes = [
-        make_outcome(mark=50.0, year_level=1, module_code="A"),
-        make_outcome(mark=70.0, year_level=2, module_code="B"),
-        make_outcome(mark=90.0, year_level=1, module_code="C"),
-    ]
-    # refined marks swap in positionally, non-matching years still skipped
-    assert year_average(outcomes, 1, marks=[40.0, 0.0, 80.0]) == pytest.approx(60.0)
-    with pytest.raises(ValueError):
-        year_average(outcomes, 1, marks=[40.0, 80.0])

@@ -8,6 +8,8 @@ import pytest
 
 from markprep import (
     CAR_COLUMN,
+    DEFAULT_BANDING,
+    BandingScheme,
     ComparisonResult,
     ConfusionMatrix,
     DegreeBand,
@@ -21,6 +23,7 @@ from markprep import (
     auc_multiclass,
     build_feature_table,
     compare_with_without_car,
+    compute_car,
     confusion_matrix,
     evaluate_forest,
     render_confusion_text,
@@ -106,6 +109,136 @@ def test_feature_table_clamps_target_average_before_banding() -> None:
     inflated = [min(v, 220.0) for v in inflated]
     table = build_feature_table(records, refined_marks=inflated)
     assert all(row.label is DegreeBand.FIRST for row in table.rows)
+
+
+# The feature table as it was built before each student's records were
+# grouped in one pass: one ``year_average`` call per student and year, each
+# re-filtering that student's records.  Kept as the oracle the one-pass
+# table must equal exactly: ids, features, labels and row order.
+
+
+def year_average(outcomes, year_level, marks=None):
+    outcomes = list(outcomes)
+    if marks is not None and len(marks) != len(outcomes):
+        raise ValueError(
+            f"marks length {len(marks)} does not match outcomes length {len(outcomes)}"
+        )
+    selected = [
+        outcome.module_mark if marks is None else marks[i]
+        for i, outcome in enumerate(outcomes)
+        if outcome.year_level == year_level
+    ]
+    if not selected:
+        raise ValueError(f"no modules recorded for year {year_level}")
+    return sum(selected) / len(selected)
+
+
+def oracle_feature_table(
+    records, refined_marks=None, predictor_years=(1, 2), target_year=3, scheme=DEFAULT_BANDING
+):
+    by_student: dict[str, list[int]] = {}
+    for index, record in enumerate(records):
+        by_student.setdefault(record.student_id, []).append(index)
+
+    needed_years = [*predictor_years, target_year]
+    rows: list[FeatureRow] = []
+    for student_id, indexes in by_student.items():
+        outcomes = [records[i] for i in indexes]
+        years_present = {outcome.year_level for outcome in outcomes}
+        if not all(year in years_present for year in needed_years):
+            continue
+        marks = (
+            [refined_marks[i] for i in indexes] if refined_marks is not None else None
+        )
+        features = [
+            year_average(outcomes, year, marks) for year in predictor_years
+        ]
+        cars = [compute_car(outcome.weighting).value for outcome in outcomes]
+        features.append(sum(cars) / len(cars))
+        target_average = year_average(outcomes, target_year, marks)
+        label = scheme.classify(min(100.0, max(0.0, target_average)))
+        rows.append(FeatureRow(student_id, tuple(features), label))
+
+    columns = (*[f"year{year}_avg" for year in predictor_years], CAR_COLUMN)
+    return FeatureTable(columns, tuple(rows))
+
+
+def shuffled_rows(n_students: int = 30, seed: int = 5) -> list[StudentModuleOutcome]:
+    """``transcript_rows`` with students and years interleaved."""
+    records = transcript_rows(n_students=n_students, cswk_cycle=(0, 10, 35, 50, 65, 100))
+    return [records[i] for i in np.random.default_rng(seed).permutation(len(records))]
+
+
+def off_scale_marks(records: list[StudentModuleOutcome]) -> list[float]:
+    """Refined marks with long decimals, some outside [0, 100]."""
+    return [r.module_mark * 1.37 - 11.113 + (i % 7) * 0.0301 for i, r in enumerate(records)]
+
+
+def lacking_years() -> list[StudentModuleOutcome]:
+    records = shuffled_rows(seed=8)
+    return [
+        r for r in records
+        if not (r.student_id in {"S003", "S017"} and r.year_level == 3)
+        and not (r.student_id == "S011" and r.year_level == 1)
+        and not (r.student_id == "S020" and r.year_level == 2)
+    ]
+
+
+def years_interleaved() -> list[StudentModuleOutcome]:
+    # the second student has no year-3 module and is left out
+    return [
+        make_outcome(mark=50.0, year_level=1, module_code="A"),
+        make_outcome(mark=90.0, year_level=2, module_code="C"),
+        make_outcome(mark=80.0, year_level=3, module_code="D"),
+        make_outcome(mark=70.0, year_level=1, module_code="B"),
+        make_outcome(mark=40.0, year_level=1, module_code="A", student_id="S2"),
+        make_outcome(mark=45.0, year_level=2, module_code="B", student_id="S2"),
+    ]
+
+
+TEN_POINT_BANDS = BandingScheme(
+    ((0.0, DegreeBand.FAIL), (45.0, DegreeBand.PASS), (55.0, DegreeBand.THIRD),
+     (62.5, DegreeBand.LOWER_SECOND), (66.0, DegreeBand.UPPER_SECOND), (71.0, DegreeBand.FIRST))
+)
+
+
+@pytest.mark.parametrize(
+    ("records", "refined", "options", "expected"),
+    [
+        pytest.param(shuffled_rows(), None, {}, None, id="shuffled"),
+        pytest.param(shuffled_rows(), off_scale_marks(shuffled_rows()), {}, None, id="refined"),
+        pytest.param(
+            shuffled_rows(), off_scale_marks(shuffled_rows()),
+            {"predictor_years": (1,), "target_year": 2}, None, id="year1-predicts-year2",
+        ),
+        pytest.param(lacking_years(), None, {}, None, id="students-lacking-a-year"),
+        pytest.param(
+            lacking_years(), off_scale_marks(lacking_years()),
+            {"predictor_years": (3, 1), "target_year": 2}, None, id="lacking-a-year-years-reordered",
+        ),
+        pytest.param(shuffled_rows(), None, {"scheme": TEN_POINT_BANDS}, None, id="banding-scheme"),
+        pytest.param(
+            years_interleaved(), None, {},
+            [FeatureRow("S1", (60.0, 90.0, 0.5), DegreeBand.FIRST)], id="years-interleaved",
+        ),
+        pytest.param(
+            # refined marks swap in by position, whatever the year
+            years_interleaved(), [40.0, 0.0, 55.0, 80.0, 1.0, 2.0], {},
+            [FeatureRow("S1", (60.0, 0.0, 0.5), DegreeBand.LOWER_SECOND)], id="refined-marks-by-position",
+        ),
+    ],
+)
+def test_feature_table_equals_the_year_average_oracle(records, refined, options, expected) -> None:
+    table = build_feature_table(records, refined_marks=refined, **options)
+    oracle = oracle_feature_table(records, refined_marks=refined, **options)
+    assert table.column_names == oracle.column_names
+    assert table.rows == oracle.rows
+    if expected is not None:
+        assert list(table.rows) == expected
+    else:
+        # the case is not vacuous: rows in first-appearance order, not sorted
+        assert len(table.rows) > 20
+        assert [row.student_id for row in table.rows] != sorted(row.student_id for row in table.rows)
 
 
 def test_confusion_matrix_counts_and_margins() -> None:

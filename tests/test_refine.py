@@ -307,10 +307,16 @@ def test_pipeline_per_department() -> None:
         )
         for i, record in enumerate(planted_cohort(rng, n=200))
     ]
-    result = run_refinement_pipeline(cs + ee, per_department=True)
+    # interleaved, each department keeps its records' order
+    records = [record for pair in zip(cs, ee) for record in pair]
+    result = run_refinement_pipeline(records, per_department=True)
     assert result.model is None
     assert result.department_models is not None
-    assert set(result.department_models) == {"CS", "EE"}
+    assert list(result.department_models) == ["CS", "EE"]
+    assert result.department_models["CS"] == run_refinement_pipeline(cs).model
+    assert result.department_models["EE"] == run_refinement_pipeline(ee).model
+    # EE first when an EE record comes first
+    assert list(run_refinement_pipeline(ee[:1] + records, per_department=True).department_models) == ["EE", "CS"]
 
 
 def test_pipeline_two_ratio_fallback_is_linear() -> None:
