@@ -284,8 +284,8 @@ def _parse_refined_mark(
     """Any finite number: unclamped refinement may leave [0, 100]."""
     try:
         return _parse_mark(text, -math.inf, math.inf)
-    except ValueError:
-        _reject(issues, row_number, REFINED_MARK_COLUMN, f"must be a finite number, got {text!r}")
+    except ValueError as exc:
+        _reject(issues, row_number, REFINED_MARK_COLUMN, str(exc))
         return None
 
 
