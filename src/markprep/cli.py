@@ -781,13 +781,15 @@ def evaluate(
 
     banding = (ctx.default_map or {}).get("banding")
     scheme = DEFAULT_BANDING if banding is None else _parse_banding(banding)
+    years = _parse_predictor_years(ctx, predictor_years, target_year)
     table = build_feature_table(
-        records,
-        refined_marks=refined_marks,
-        predictor_years=_parse_predictor_years(ctx, predictor_years, target_year),
-        target_year=target_year,
-        scheme=scheme,
+        records, refined_marks=refined_marks, predictor_years=years, target_year=target_year, scheme=scheme
     )
+    students = len({record.student_id for record in records})
+    if len(table.rows) < students:
+        needed = ", ".join(str(year) for year in years) + f" or {target_year}"
+        left_out = f"{students - len(table.rows)} of {students} students left out"
+        click.echo(f"{left_out} for lacking a module in year {needed}", err=True)
     if len(table.rows) < 2:
         _data_error(
             f"only {len(table.rows)} students have complete year coverage; cannot evaluate"

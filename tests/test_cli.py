@@ -117,6 +117,41 @@ def test_commands_count_rejected_rows_on_stderr(cohort: Path, refined: Path) -> 
     assert result.stderr == ""
 
 
+def without_year(path: Path, student_ids: set[str], year: str, name: str) -> Path:
+    """A copy of a transcript CSV without the given students' rows of one year."""
+    header, *rows = path.read_text().splitlines()
+    kept = [row for row in rows if not (row.split(",")[0] in student_ids and row.split(",")[2] == year)]
+    copy = path.with_name(name)
+    copy.write_text("\n".join([header, *kept]) + "\n")
+    return copy
+
+
+def test_evaluate_counts_students_left_out_on_stderr(refined: Path) -> None:
+    first = refined.read_text().splitlines()[1].split(",")[0]
+    partial = without_year(refined, {first}, "3", "partial.refined.csv")
+    result = runner.invoke(main, ["evaluate", str(partial), "--trees", "5", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == "1 of 40 students left out for lacking a module in year 1, 2 or 3\n"
+    assert json.loads(result.stdout)["auc_delta"] is not None
+    # predicting year 2 from year 1 needs no year-3 rows
+    result = runner.invoke(main, ["evaluate", str(partial), "--trees", "5", "--predictor-years", "1", "--target-year", "2"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    # a complete cohort says nothing
+    result = runner.invoke(main, ["evaluate", str(refined), "--trees", "5"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    # the count comes before the coverage error
+    students = {row.split(",")[0] for row in refined.read_text().splitlines()[1:]}
+    sparse = without_year(refined, students - {first}, "2", "sparse.refined.csv")
+    result = runner.invoke(main, ["evaluate", str(sparse), "--trees", "5"])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "39 of 40 students left out for lacking a module in year 1, 2 or 3\n"
+        "Error: only 1 students have complete year coverage; cannot evaluate\n"
+    )
+
+
 def test_validate_missing_file_is_usage_error() -> None:
     run("validate", "/nonexistent/input.csv", expect=2)
 
