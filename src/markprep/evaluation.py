@@ -70,11 +70,11 @@ def build_feature_table(
     # record order; students keep the order of their first record
     by_student: dict[str, tuple[dict[int, list[float]], list[float]]] = {}
     for record, mark in zip(records, marks):
-        student = by_student.get(record.student_id)
-        if student is None:
-            student = by_student[record.student_id] = ({}, [])
-        student[0].setdefault(record.year_level, []).append(mark)
-        student[1].append(record.car.value)
+        if record.student_id not in by_student:
+            by_student[record.student_id] = ({}, [])
+        year_marks, cars = by_student[record.student_id]
+        year_marks.setdefault(record.year_level, []).append(mark)
+        cars.append(record.car.value)
 
     needed_years = [*predictor_years, target_year]
     rows: list[FeatureRow] = []
