@@ -14,9 +14,10 @@ refinement rule exactly.
 from __future__ import annotations
 
 import statistics
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,26 +126,6 @@ def reference_model() -> RefinementModel:
         model_kind=ModelKind.QUADRATIC,
         n_observations=0,
     )
-
-
-def derive_ratio_classes(
-    records: Iterable[StudentModuleOutcome],
-) -> dict[str, tuple[int, ...]]:
-    """Sorted distinct coursework weights observed per department.
-
-    Never fills gaps across departments; each department's class set is
-    exactly what its own records contain.
-    """
-    observed: dict[str, set[int]] = {}
-    count = 0
-    for record in records:
-        count += 1
-        observed.setdefault(record.department, set()).add(
-            record.weighting.coursework_weight
-        )
-    if count == 0:
-        raise ValueError("cannot derive ratio classes from zero records")
-    return {dept: tuple(sorted(weights)) for dept, weights in observed.items()}
 
 
 def fit_polynomial(
@@ -279,47 +260,47 @@ def run_refinement_pipeline(
         raise ValueError("cannot refine zero records")
     if model is not None and per_department:
         raise ValueError("a pinned model and per-department fitting are exclusive")
-    ratio_classes = derive_ratio_classes(records)
-    cars = [record.car for record in records]
 
-    department_models: dict[str, RefinementModel] | None = None
+    # One pass collects each department's coursework weights and each fit
+    # scope's ratios and marks in record order.  A scope is a department
+    # with per_department, else the whole input (None).  Two lists per scope
+    # rather than (car, mark) pairs spare a pinned model one live tuple per
+    # record, which the garbage collector would otherwise keep rescanning.
+    weights: defaultdict[str, set[int]] = defaultdict(set)
+    ratios: defaultdict[str | None, list[Car]] = defaultdict(list)
+    marks: defaultdict[str | None, list[float]] = defaultdict(list)
+    for record in records:
+        weights[record.department].add(record.weighting.coursework_weight)
+        scope = record.department if per_department else None
+        ratios[scope].append(record.car)
+        marks[scope].append(record.module_mark)
+
+    models: dict[str | None, RefinementModel] = {}
     linear_candidate: RefinementModel | None = None
     quadratic_candidate: RefinementModel | None = None
     warnings: list[str] = []
+    for scope in ratios:
+        if model is not None:
+            models[scope] = model
+            continue
+        models[scope], linear, quadratic, fit_warnings = _fit_with_fallback(list(zip(ratios[scope], marks[scope])))
+        if scope is None:
+            linear_candidate, quadratic_candidate = linear, quadratic
+            warnings.extend(fit_warnings)
+        else:
+            warnings.extend(f"{scope}: {w}" for w in fit_warnings)
 
-    if model is not None:
-        models_by_record = [model] * len(records)
-        selected: RefinementModel | None = model
-    elif per_department:
-        # departments in order of first appearance, points in record order
-        points_by_department: dict[str, list[tuple[Car, float]]] = {}
-        for car, record in zip(cars, records):
-            points_by_department.setdefault(record.department, []).append((car, record.module_mark))
-        department_models = {}
-        for department, points in points_by_department.items():
-            fitted, _, _, fit_warnings = _fit_with_fallback(points)
-            department_models[department] = fitted
-            warnings.extend(f"{department}: {w}" for w in fit_warnings)
-        models_by_record = [department_models[r.department] for r in records]
-        selected = None
-    else:
-        points = list(zip(cars, (r.module_mark for r in records)))
-        fitted, linear_candidate, quadratic_candidate, warnings = _fit_with_fallback(
-            points
-        )
-        models_by_record = [fitted] * len(records)
-        selected = fitted
-
-    refined = tuple(
-        refine_mark(record.module_mark, car, record_model, clamp=clamp)
-        for record, car, record_model in zip(records, cars, models_by_record)
-    )
+    # each scope's refined marks, handed back out in record order
+    refined = {
+        scope: iter([refine_mark(mark, car, models[scope], clamp=clamp) for car, mark in zip(ratios[scope], marks[scope])])
+        for scope in ratios
+    }
     return RefinementResult(
         records=records,
-        refined_marks=refined,
-        ratio_classes=ratio_classes,
-        model=selected,
-        department_models=department_models,
+        refined_marks=tuple(next(refined[r.department]) for r in records) if per_department else tuple(refined[None]),
+        ratio_classes={department: tuple(sorted(w)) for department, w in weights.items()},
+        model=None if per_department else models[None],
+        department_models=models if per_department else None,
         linear_candidate=linear_candidate,
         quadratic_candidate=quadratic_candidate,
         warnings=tuple(warnings),

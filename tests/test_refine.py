@@ -12,7 +12,6 @@ from markprep import (
     RefinementModel,
     SingularFitError,
     choose_model_kind,
-    derive_ratio_classes,
     fit_polynomial,
     reference_model,
     refine_mark,
@@ -197,18 +196,29 @@ def test_model_json_round_trip() -> None:
         RefinementModel.from_json_dict(short)
 
 
-def test_derive_ratio_classes() -> None:
+def test_pipeline_ratio_classes() -> None:
+    # CS weights arrive unsorted (70 before 0); EE shares only the 0
     records = [
-        make_outcome(exam_weight=100, cswk_weight=0, exam_mark=60.0, cswk_mark=None, module_code="A"),
         make_outcome(exam_weight=30, cswk_weight=70, module_code="B"),
+        make_outcome(exam_weight=100, cswk_weight=0, exam_mark=60.0, cswk_mark=None, module_code="A"),
         make_outcome(exam_weight=30, cswk_weight=70, module_code="C"),
         make_outcome(exam_weight=100, cswk_weight=0, exam_mark=55.0, cswk_mark=None,
                      module_code="D", department="EE"),
     ]
-    classes = derive_ratio_classes(records)
-    assert classes == {"CS": (0, 70), "EE": (0,)}
-    with pytest.raises(ValueError):
-        derive_ratio_classes([])
+    for mode in ({}, {"per_department": True}, {"model": reference_model()}):
+        result = run_refinement_pipeline(records, **mode)
+        assert result.ratio_classes == {"CS": (0, 70), "EE": (0,)}
+        assert list(result.ratio_classes) == ["CS", "EE"]
+        ee_first = run_refinement_pipeline(records[-1:] + records[:-1], **mode)
+        assert list(ee_first.ratio_classes) == ["EE", "CS"]
+    # a set of {100, 30} iterates 100 first
+    unsorted = [
+        make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None, cswk_mark=60.0, module_code="E"),
+        make_outcome(exam_weight=70, cswk_weight=30, module_code="F"),
+    ]
+    assert run_refinement_pipeline(unsorted).ratio_classes == {"CS": (30, 100)}
+    with pytest.raises(ValueError, match="^cannot refine zero records$"):
+        run_refinement_pipeline([])
 
 
 def planted_cohort(rng: np.random.Generator, n: int = 400) -> list:
@@ -287,7 +297,7 @@ def test_pipeline_pinned_model_skips_fitting() -> None:
 
 def test_pipeline_pinned_and_per_department_conflict() -> None:
     records = planted_cohort(np.random.default_rng(3), n=20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a pinned model and per-department fitting are exclusive$"):
         run_refinement_pipeline(records, model=reference_model(), per_department=True)
 
 
