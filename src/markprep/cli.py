@@ -584,7 +584,9 @@ def _refine_report_json(result: RefinementResult) -> dict:
 @_config_option
 @_format_option
 @_output_option
+@click.pass_context
 def refine(
+    ctx: click.Context,
     input_csv: str,
     out: str | None,
     model_out: str | None,
@@ -596,6 +598,11 @@ def refine(
 ) -> None:
     """Fit the ratio model and write marks with the fitted ratio effect
     removed, as a trailing refined_module_mark column."""
+    if reference_coefficients and per_department:
+        _usage_error(
+            f"{_setting_name(ctx, 'reference_coefficients')} and {_setting_name(ctx, 'per_department')} "
+            "are exclusive: the pinned coefficients are never fitted per department"
+        )
     records, _report = _read_records(input_csv)
     if not records:
         _data_error(f"no valid records in {input_csv}")

@@ -446,6 +446,14 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
     run("evaluate", str(refined), "--max-features", "4", expect=2)
     # a fraction inside (0, 1) that leaves no test row is a data failure
     run("evaluate", str(refined), "--test-fraction", "0.001", expect=1)
+    # a pinned model is never fitted per department, and nothing is written
+    out, model_out = cohort.with_name("pinned.refined.csv"), cohort.with_name("pinned.model.json")
+    output = run(
+        "refine", str(cohort), "--reference-coefficients", "--per-department",
+        "--out", str(out), "--model-out", str(model_out), expect=2,
+    )
+    assert "--reference-coefficients and --per-department are exclusive" in output
+    assert not out.exists() and not model_out.exists()
 
 
 @pytest.mark.parametrize(
@@ -474,6 +482,7 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
         ("evaluate", {"format": 5}),
         ("evaluate", {"trees": [4]}),
         ("evaluate", {"test_fraction": [0.5]}),
+        ("refine", {"reference_coefficients": True, "per_department": True}),
     ],
 )
 def test_bad_config_value_is_usage_error(
@@ -484,11 +493,11 @@ def test_bad_config_value_is_usage_error(
     source = refined if command == "evaluate" else cohort
     result = runner.invoke(main, [command, str(source), "--config", str(path)])
     assert result.exit_code == 2, result.output
-    (key,) = config
-    assert key in result.output
-    # the message names the config key, never a flag the user did not give
-    assert "--" + key.replace("_", "-") not in result.output
-    if key == "max_features":
+    for key in config:
+        assert key in result.output
+        # the message names the config key, never a flag the user did not give
+        assert "--" + key.replace("_", "-") not in result.output
+    if "max_features" in config:
         assert "config key max_features 4 exceeds the feature count 3" in result.output
 
 
