@@ -124,14 +124,6 @@ class Car:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"ratio must lie in [0, 1], got {self.value!r}")
 
-    @property
-    def is_exam_only(self) -> bool:
-        return self.value == 0.0
-
-    @property
-    def is_coursework_only(self) -> bool:
-        return self.value == 1.0
-
 
 def compute_car(weighting: AssessmentWeighting) -> Car:
     """Coursework assessment ratio of a weighting: coursework_weight / 100."""

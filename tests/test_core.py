@@ -71,10 +71,6 @@ def test_weighting_must_sum_to_hundred() -> None:
 
 def test_compute_car_is_coursework_share() -> None:
     assert compute_car(AssessmentWeighting(70, 30)).value == pytest.approx(0.3)
-    assert compute_car(AssessmentWeighting(100, 0)).is_exam_only
-    assert compute_car(AssessmentWeighting(0, 100)).is_coursework_only
-    mixed = compute_car(AssessmentWeighting(45, 55))
-    assert not mixed.is_exam_only and not mixed.is_coursework_only
 
 
 def test_car_rejects_values_outside_unit_interval() -> None:

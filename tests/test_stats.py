@@ -34,6 +34,8 @@ def test_classify_method_by_ratio() -> None:
     assert classify_method(Car(0.5)) is AssessmentMethodClass.MIXED
     assert classify_method(Car(0.01)) is AssessmentMethodClass.MIXED
     assert classify_method(compute_car(AssessmentWeighting(100, 0))) is AssessmentMethodClass.EXAM_BASED
+    assert classify_method(compute_car(AssessmentWeighting(0, 100))) is AssessmentMethodClass.COURSEWORK_BASED
+    assert classify_method(compute_car(AssessmentWeighting(45, 55))) is AssessmentMethodClass.MIXED
 
 
 def test_group_mean_table() -> None:
