@@ -202,12 +202,12 @@ def test_criterion_08_auc_oracle() -> None:
 _MENUS = ((0, 10, 20), (40, 50, 60), (80, 90, 100))
 
 
-def _banded_cohort(seed: int, planted: bool, students: int = 406) -> list[StudentModuleOutcome]:
-    """406 students x 32 modules; only the target year carries the ratio
-    effect, so the band depends on ratio-driven inflation that earlier
-    years cannot reveal."""
-    b1, b2 = (12.77, -5.873) if planted else (0.0, 0.0)
-    records = []
+def _banded_cohorts(seed: int, students: int = 406) -> tuple[list[StudentModuleOutcome], list[StudentModuleOutcome]]:
+    """A planted and a null cohort of 406 students x 32 modules from one
+    set of draws; only the target year carries the ratio effect, so the
+    band depends on ratio-driven inflation that earlier years cannot
+    reveal."""
+    cohorts: tuple[list[StudentModuleOutcome], list[StudentModuleOutcome]] = ([], [])
     for i in range(students):
         menu = _MENUS[i % 3]
         ability = 58.0 + 10.0 * normal_deviate(substream(seed, 0, i))
@@ -219,20 +219,21 @@ def _banded_cohort(seed: int, planted: bool, students: int = 406) -> list[Studen
                 cswk = 0 if year < 3 else menu[int(module_rng.integers(len(menu)))]
                 car = cswk / 100.0
                 noise = 8.0 * normal_deviate(module_rng)
-                mark = float(np.clip(ability + b1 * car + b2 * car * car + noise, 0.0, 100.0))
-                records.append(
-                    StudentModuleOutcome(
-                        student_id=f"S{i:05d}",
-                        department="CS",
-                        year_level=year,
-                        module_code=f"Y{year}M{module_index:02d}",
-                        module_mark=mark,
-                        exam_mark=mark if cswk < 100 else None,
-                        cswk_mark=mark if cswk > 0 else None,
-                        weighting=AssessmentWeighting(100 - cswk, cswk),
+                for records, (b1, b2) in zip(cohorts, ((12.77, -5.873), (0.0, 0.0))):
+                    mark = float(np.clip(ability + b1 * car + b2 * car * car + noise, 0.0, 100.0))
+                    records.append(
+                        StudentModuleOutcome(
+                            student_id=f"S{i:05d}",
+                            department="CS",
+                            year_level=year,
+                            module_code=f"Y{year}M{module_index:02d}",
+                            module_mark=mark,
+                            exam_mark=mark if cswk < 100 else None,
+                            cswk_mark=mark if cswk > 0 else None,
+                            weighting=AssessmentWeighting(100 - cswk, cswk),
+                        )
                     )
-                )
-    return records
+    return cohorts
 
 
 def test_criterion_09_car_effect_direction() -> None:
@@ -241,16 +242,12 @@ def test_criterion_09_car_effect_direction() -> None:
     started = time.perf_counter()
     params = ForestParams(tree_count=50)
 
-    def deltas(planted: bool) -> list[float]:
-        out = []
-        for seed in range(20):
-            table = build_feature_table(_banded_cohort(seed + 1, planted))
-            result = compare_with_without_car(table, params, seed=seed)
-            out.append(result.auc_delta)
-        return out
-
-    signal = deltas(True)
-    null = deltas(False)
+    signal: list[float] = []
+    null: list[float] = []
+    for seed in range(20):
+        for deltas, cohort in zip((signal, null), _banded_cohorts(seed + 1)):
+            result = compare_with_without_car(build_feature_table(cohort), params, seed=seed)
+            deltas.append(result.auc_delta)
     elapsed = time.perf_counter() - started
 
     assert statistics.median(signal) > 0.0
