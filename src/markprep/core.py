@@ -112,25 +112,6 @@ class AssessmentWeighting:
 
 
 @dataclass(frozen=True, slots=True)
-class Car:
-    """Coursework assessment ratio: the coursework share of the weighting.
-
-    0 means purely exam-assessed, 1 purely coursework-assessed.
-    """
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"ratio must lie in [0, 1], got {self.value!r}")
-
-
-def compute_car(weighting: AssessmentWeighting) -> Car:
-    """Coursework assessment ratio of a weighting: coursework_weight / 100."""
-    return Car(weighting.coursework_weight / 100)
-
-
-@dataclass(frozen=True, slots=True)
 class StudentModuleOutcome:
     """One student's result on one module.
 
@@ -182,8 +163,11 @@ class StudentModuleOutcome:
         return tuple(missing)
 
     @property
-    def car(self) -> Car:
-        return compute_car(self.weighting)
+    def car(self) -> float:
+        """The coursework assessment ratio (CAR): the coursework weight over
+        100, so 0 is purely exam-assessed and 1 purely coursework-assessed.
+        This is the one definition of the ratio."""
+        return self.weighting.coursework_weight / 100
 
 
 @dataclass(frozen=True, slots=True)

@@ -74,7 +74,7 @@ def build_feature_table(
             by_student[record.student_id] = ({}, [])
         year_marks, cars = by_student[record.student_id]
         year_marks.setdefault(record.year_level, []).append(mark)
-        cars.append(record.car.value)
+        cars.append(record.car)
 
     needed_years = [*predictor_years, target_year]
     rows: list[FeatureRow] = []

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Car, StudentModuleOutcome, read_count, read_fields, read_number, read_string
+from .core import StudentModuleOutcome, read_count, read_fields, read_number, read_string
 from .fixtures import REFERENCE_R_SQUARED_QUADRATIC
 
 REFERENCE_LINEAR_COEFFICIENT = 12.77
@@ -64,9 +64,9 @@ class RefinementModel:
         if self.model_kind is ModelKind.LINEAR and self.quadratic != 0.0:
             raise ValueError("a linear model must have a zero quadratic coefficient")
 
-    def decrement(self, car: Car) -> float:
+    def decrement(self, car: float) -> float:
         """The amount subtracted from a mark at the given ratio."""
-        return self.linear * car.value + self.quadratic * car.value**2
+        return self.linear * car + self.quadratic * car**2
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,9 +129,10 @@ def reference_model() -> RefinementModel:
 
 
 def fit_polynomial(
-    points: Sequence[tuple[Car, float]], degree: int
+    ratios: Sequence[float], marks: Sequence[float], degree: int
 ) -> RefinementModel:
-    """OLS fit of mark on {1, car} or {1, car, car^2}.
+    """OLS fit of each mark on {1, car} or {1, car, car^2}, where
+    ``ratios[i]`` is the car of ``marks[i]``.
 
     Solved via singular-value decomposition, not normal equations: car
     and car^2 are strongly collinear on [0, 1].  R-squared is
@@ -140,12 +141,12 @@ def fit_polynomial(
     """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-    if len(points) < degree + 1:
+    if len(ratios) < degree + 1:
         raise SingularFitError(
-            f"need at least {degree + 1} points for degree {degree}, got {len(points)}"
+            f"need at least {degree + 1} points for degree {degree}, got {len(ratios)}"
         )
-    x = np.array([car.value for car, _ in points], dtype=float)
-    y = np.array([mark for _, mark in points], dtype=float)
+    x = np.array(ratios, dtype=float)
+    y = np.array(marks, dtype=float)
     design = np.vander(x, degree + 1, increasing=True)
     coefficients, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < degree + 1:
@@ -168,7 +169,7 @@ def fit_polynomial(
         quadratic=float(coefficients[2]) if degree == 2 else 0.0,
         r_squared=r_squared,
         model_kind=ModelKind.QUADRATIC if degree == 2 else ModelKind.LINEAR,
-        n_observations=len(points),
+        n_observations=len(ratios),
     )
 
 
@@ -180,7 +181,7 @@ def choose_model_kind(r_squared_linear: float, r_squared_quadratic: float) -> Mo
 
 
 def refine_mark(
-    module_mark: float, car: Car, model: RefinementModel, clamp: bool = False
+    module_mark: float, car: float, model: RefinementModel, clamp: bool = False
 ) -> float:
     """Remove the fitted ratio-dependent component from one mark.
 
@@ -208,24 +209,23 @@ class RefinementResult:
 
 
 def _fit_with_fallback(
-    points: Sequence[tuple[Car, float]],
+    ratios: Sequence[float], marks: Sequence[float]
 ) -> tuple[RefinementModel, RefinementModel | None, RefinementModel | None, list[str]]:
     """Select a model, degrading gracefully when ratios lack variety."""
-    distinct = len({car.value for car, _ in points})
+    distinct = len(set(ratios))
     if distinct >= 3:
-        linear = fit_polynomial(points, 1)
-        quadratic = fit_polynomial(points, 2)
+        linear = fit_polynomial(ratios, marks, 1)
+        quadratic = fit_polynomial(ratios, marks, 2)
         kind = choose_model_kind(linear.r_squared, quadratic.r_squared)
         selected = quadratic if kind is ModelKind.QUADRATIC else linear
         return selected, linear, quadratic, []
     if distinct == 2:
-        linear = fit_polynomial(points, 1)
+        linear = fit_polynomial(ratios, marks, 1)
         return linear, linear, None, [
             "only 2 distinct coursework ratios; fitted the linear model only"
         ]
     # One ratio value: no ratio effect is estimable, so refinement is a
     # no-op (zero slope) and the intercept carries the mean.
-    marks = [mark for _, mark in points]
     mean_mark = statistics.fmean(marks)
     constant_response = all(mark == marks[0] for mark in marks)
     fallback = RefinementModel(
@@ -234,7 +234,7 @@ def _fit_with_fallback(
         quadratic=0.0,
         r_squared=1.0 if constant_response else 0.0,
         model_kind=ModelKind.LINEAR,
-        n_observations=len(points),
+        n_observations=len(marks),
     )
     return fallback, None, None, [
         "all records share one coursework ratio; no ratio effect can be "
@@ -263,11 +263,12 @@ def run_refinement_pipeline(
 
     # One pass collects each department's coursework weights and each fit
     # scope's ratios and marks in record order.  A scope is a department
-    # with per_department, else the whole input (None).  Two lists per scope
-    # rather than (car, mark) pairs spare a pinned model one live tuple per
-    # record, which the garbage collector would otherwise keep rescanning.
+    # with per_department, else the whole input (None).  Two lists per scope,
+    # which the fit takes as they are, rather than (car, mark) pairs spare
+    # one live tuple per record that the garbage collector would keep
+    # rescanning.
     weights: defaultdict[str, set[int]] = defaultdict(set)
-    ratios: defaultdict[str | None, list[Car]] = defaultdict(list)
+    ratios: defaultdict[str | None, list[float]] = defaultdict(list)
     marks: defaultdict[str | None, list[float]] = defaultdict(list)
     for record in records:
         weights[record.department].add(record.weighting.coursework_weight)
@@ -283,7 +284,7 @@ def run_refinement_pipeline(
         if model is not None:
             models[scope] = model
             continue
-        models[scope], linear, quadratic, fit_warnings = _fit_with_fallback(list(zip(ratios[scope], marks[scope])))
+        models[scope], linear, quadratic, fit_warnings = _fit_with_fallback(ratios[scope], marks[scope])
         if scope is None:
             linear_candidate, quadratic_candidate = linear, quadratic
             warnings.extend(fit_warnings)

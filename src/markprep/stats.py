@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import Car, StudentModuleOutcome
+from .core import StudentModuleOutcome
 
 
 class AssessmentMethodClass(Enum):
@@ -22,11 +22,11 @@ class AssessmentMethodClass(Enum):
     MIXED = "mixed"
 
 
-def classify_method(car: Car) -> AssessmentMethodClass:
+def classify_method(car: float) -> AssessmentMethodClass:
     """Assessment method implied by a coursework ratio."""
-    if car.value == 0.0:
+    if car == 0.0:
         return AssessmentMethodClass.EXAM_BASED
-    if car.value == 1.0:
+    if car == 1.0:
         return AssessmentMethodClass.COURSEWORK_BASED
     return AssessmentMethodClass.MIXED
 

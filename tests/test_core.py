@@ -7,10 +7,8 @@ from markprep import (
     DEFAULT_BANDING,
     AssessmentWeighting,
     BandingScheme,
-    Car,
     DegreeBand,
     StudentModuleOutcome,
-    compute_car,
 )
 
 
@@ -69,19 +67,6 @@ def test_weighting_must_sum_to_hundred() -> None:
         AssessmentWeighting(True, 99)  # type: ignore[arg-type]
 
 
-def test_compute_car_is_coursework_share() -> None:
-    assert compute_car(AssessmentWeighting(70, 30)).value == pytest.approx(0.3)
-
-
-def test_car_rejects_values_outside_unit_interval() -> None:
-    Car(0.0)
-    Car(1.0)
-    with pytest.raises(ValueError):
-        Car(-0.01)
-    with pytest.raises(ValueError):
-        Car(1.01)
-
-
 def test_outcome_allows_missing_weighted_component_mark() -> None:
     outcome = make_outcome(exam_mark=None)
     assert outcome.missing_component_fields == ("exam_mark",)
@@ -110,7 +95,12 @@ def test_outcome_range_checks() -> None:
 
 
 def test_outcome_car_property() -> None:
-    assert make_outcome(exam_weight=30, cswk_weight=70).car.value == pytest.approx(0.7)
+    # the coursework share of the weighting, as a plain float
+    assert type(make_outcome(exam_weight=70, cswk_weight=30).car) is float
+    assert make_outcome(exam_weight=70, cswk_weight=30).car == pytest.approx(0.3)
+    assert make_outcome(exam_weight=30, cswk_weight=70).car == pytest.approx(0.7)
+    assert make_outcome(exam_weight=100, cswk_weight=0, cswk_mark=None).car == 0.0
+    assert make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None).car == 1.0
 
 
 def test_default_banding_boundaries() -> None:

@@ -23,7 +23,6 @@ from markprep import (
     auc_multiclass,
     build_feature_table,
     compare_with_without_car,
-    compute_car,
     confusion_matrix,
     evaluate_forest,
     render_confusion_text,
@@ -153,7 +152,7 @@ def oracle_feature_table(
         features = [
             year_average(outcomes, year, marks) for year in predictor_years
         ]
-        cars = [compute_car(outcome.weighting).value for outcome in outcomes]
+        cars = [outcome.weighting.coursework_weight / 100 for outcome in outcomes]
         features.append(sum(cars) / len(cars))
         target_average = year_average(outcomes, target_year, marks)
         label = scheme.classify(min(100.0, max(0.0, target_average)))

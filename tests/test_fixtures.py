@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from markprep import Car, DegreeBand, reference_model, refine_mark, two_sample_t
+from markprep import DegreeBand, reference_model, refine_mark, two_sample_t
 from markprep.fixtures import (
     CONFUSION_WITH_CAR,
     CONFUSION_WITHOUT_CAR,
@@ -91,7 +91,7 @@ def test_without_car_table_keeps_stated_margins_verbatim() -> None:
 def test_worked_example_exam_modules_are_untouched() -> None:
     group = WORKED_EXAMPLE_GROUPS["exam_based"]
     assert group.mean_refined_mark == group.mean_mark
-    refined = refine_mark(group.mean_mark, Car(0.0), reference_model())
+    refined = refine_mark(group.mean_mark, 0.0, reference_model())
     assert refined == group.mean_mark
 
 
@@ -99,7 +99,7 @@ def test_worked_example_coursework_mean_follows_the_rule() -> None:
     group = WORKED_EXAMPLE_GROUPS["coursework_based"]
     # every fully-coursework module drops by the same constant, so the
     # group mean drops by it too
-    refined_mean = refine_mark(group.mean_mark, Car(1.0), reference_model())
+    refined_mean = refine_mark(group.mean_mark, 1.0, reference_model())
     assert refined_mean == pytest.approx(60.3 - 6.897, abs=1e-9)
     # the published group value is stored verbatim even though it rounds
     # differently from the rule's own arithmetic

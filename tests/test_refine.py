@@ -7,7 +7,6 @@ import pytest
 from markprep import (
     REFERENCE_LINEAR_COEFFICIENT,
     REFERENCE_QUADRATIC_COEFFICIENT,
-    Car,
     ModelKind,
     RefinementModel,
     SingularFitError,
@@ -20,13 +19,13 @@ from markprep import (
 from test_core import make_outcome
 
 
-def quad_points(cars: list[float], b0: float, b1: float, b2: float) -> list[tuple[Car, float]]:
-    return [(Car(c), b0 + b1 * c + b2 * c * c) for c in cars]
+def quad_points(cars: list[float], b0: float, b1: float, b2: float) -> tuple[list[float], list[float]]:
+    return cars, [b0 + b1 * c + b2 * c * c for c in cars]
 
 
 def test_fit_recovers_exact_quadratic() -> None:
-    points = quad_points([0.0, 0.25, 0.5, 0.75, 1.0], 10.0, 12.77, -5.873)
-    model = fit_polynomial(points, 2)
+    ratios, marks = quad_points([0.0, 0.25, 0.5, 0.75, 1.0], 10.0, 12.77, -5.873)
+    model = fit_polynomial(ratios, marks, 2)
     assert model.intercept == pytest.approx(10.0, abs=1e-9)
     assert model.linear == pytest.approx(12.77, abs=1e-9)
     assert model.quadratic == pytest.approx(-5.873, abs=1e-9)
@@ -36,8 +35,8 @@ def test_fit_recovers_exact_quadratic() -> None:
 
 
 def test_fit_recovers_exact_linear() -> None:
-    points = quad_points([0.0, 0.5, 1.0], 40.0, 8.0, 0.0)
-    model = fit_polynomial(points, 1)
+    ratios, marks = quad_points([0.0, 0.5, 1.0], 40.0, 8.0, 0.0)
+    model = fit_polynomial(ratios, marks, 1)
     assert model.intercept == pytest.approx(40.0, abs=1e-9)
     assert model.linear == pytest.approx(8.0, abs=1e-9)
     assert model.quadratic == 0.0
@@ -45,44 +44,44 @@ def test_fit_recovers_exact_linear() -> None:
 
 
 def test_fit_degree_validation() -> None:
-    points = quad_points([0.0, 0.5, 1.0], 1.0, 1.0, 0.0)
+    ratios, marks = quad_points([0.0, 0.5, 1.0], 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        fit_polynomial(points, 0)
+        fit_polynomial(ratios, marks, 0)
     with pytest.raises(ValueError):
-        fit_polynomial(points, 3)
+        fit_polynomial(ratios, marks, 3)
 
 
 def test_fit_rejects_rank_deficiency() -> None:
-    same = [(Car(0.4), 50.0), (Car(0.4), 60.0), (Car(0.4), 70.0)]
+    same = ([0.4, 0.4, 0.4], [50.0, 60.0, 70.0])
     with pytest.raises(SingularFitError):
-        fit_polynomial(same, 1)
+        fit_polynomial(*same, 1)
     with pytest.raises(SingularFitError):
-        fit_polynomial(same, 2)
-    two = [(Car(0.2), 50.0), (Car(0.8), 60.0), (Car(0.2), 55.0)]
-    fit_polynomial(two, 1)
+        fit_polynomial(*same, 2)
+    two = ([0.2, 0.8, 0.2], [50.0, 60.0, 55.0])
+    fit_polynomial(*two, 1)
     with pytest.raises(SingularFitError):
-        fit_polynomial(two, 2)
+        fit_polynomial(*two, 2)
 
 
 def test_fit_rejects_too_few_points() -> None:
     with pytest.raises(SingularFitError):
-        fit_polynomial([(Car(0.1), 50.0), (Car(0.9), 60.0)], 2)
+        fit_polynomial([0.1, 0.9], [50.0, 60.0], 2)
     with pytest.raises(SingularFitError):
-        fit_polynomial([(Car(0.1), 50.0)], 1)
+        fit_polynomial([0.1], [50.0], 1)
 
 
 def test_constant_response_gives_unit_r_squared() -> None:
-    points = [(Car(c), 63.0) for c in (0.0, 0.3, 0.6, 1.0)]
-    assert fit_polynomial(points, 1).r_squared == 1.0
-    assert fit_polynomial(points, 2).r_squared == 1.0
+    ratios, marks = [0.0, 0.3, 0.6, 1.0], [63.0] * 4
+    assert fit_polynomial(ratios, marks, 1).r_squared == 1.0
+    assert fit_polynomial(ratios, marks, 2).r_squared == 1.0
 
 
 def test_fit_survives_tight_ratio_clusters() -> None:
     # car and car^2 nearly collinear: normal equations would blow up here
     cars = [0.50, 0.500001, 0.499999, 0.5000005, 0.93]
-    points = quad_points(cars, 20.0, 12.77, -5.873)
-    model = fit_polynomial(points, 2)
-    for car, mark in points:
+    ratios, marks = quad_points(cars, 20.0, 12.77, -5.873)
+    model = fit_polynomial(ratios, marks, 2)
+    for car, mark in zip(ratios, marks):
         predicted = model.intercept + model.decrement(car)
         assert predicted == pytest.approx(mark, abs=1e-5)
 
@@ -94,9 +93,8 @@ def test_r_squared_nesting_fuzz() -> None:
         cars = rng.uniform(0, 1, n)
         cars[0], cars[1], cars[2] = 0.1, 0.5, 0.9  # guarantee 3 distinct
         y = rng.uniform(0, 100, n)
-        points = [(Car(float(c)), float(v)) for c, v in zip(cars, y)]
-        linear = fit_polynomial(points, 1)
-        quadratic = fit_polynomial(points, 2)
+        linear = fit_polynomial(cars.tolist(), y.tolist(), 1)
+        quadratic = fit_polynomial(cars.tolist(), y.tolist(), 2)
         assert 0.0 <= linear.r_squared <= 1.0
         assert 0.0 <= quadratic.r_squared <= 1.0
         # the quadratic family nests the linear one
@@ -111,30 +109,30 @@ def test_choose_model_kind_tie_break() -> None:
     assert choose_model_kind(0.6, 0.4) is ModelKind.LINEAR
 
 
-def selected_model(points: list[tuple[Car, float]]) -> RefinementModel:
+def selected_model(ratios: list[float], marks: list[float]) -> RefinementModel:
     """The model the refinement pipeline selects for one record per point."""
     records = [
         make_outcome(
             mark=mark,
-            exam_weight=100 - round(car.value * 100),
-            cswk_weight=round(car.value * 100),
+            exam_weight=100 - round(car * 100),
+            cswk_weight=round(car * 100),
             exam_mark=None,
             cswk_mark=None,
             module_code=f"M{i}",
         )
-        for i, (car, mark) in enumerate(points)
+        for i, (car, mark) in enumerate(zip(ratios, marks))
     ]
     return run_refinement_pipeline(records).model
 
 
 def test_select_model_prefers_linear_on_linear_data() -> None:
-    points = quad_points([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], 30.0, 5.0, 0.0)
-    assert selected_model(points).model_kind is ModelKind.LINEAR
+    ratios, marks = quad_points([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], 30.0, 5.0, 0.0)
+    assert selected_model(ratios, marks).model_kind is ModelKind.LINEAR
 
 
 def test_select_model_prefers_quadratic_on_curved_data() -> None:
-    points = quad_points([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], 30.0, 5.0, -9.0)
-    assert selected_model(points).model_kind is ModelKind.QUADRATIC
+    ratios, marks = quad_points([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], 30.0, 5.0, -9.0)
+    assert selected_model(ratios, marks).model_kind is ModelKind.QUADRATIC
 
 
 def test_reference_model_worked_arithmetic() -> None:
@@ -142,11 +140,11 @@ def test_reference_model_worked_arithmetic() -> None:
     assert model.linear == REFERENCE_LINEAR_COEFFICIENT == 12.77
     assert model.quadratic == REFERENCE_QUADRATIC_COEFFICIENT == -5.873
     # mixed module, half coursework
-    assert refine_mark(50.0, Car(0.5), model) == pytest.approx(45.08325, abs=1e-9)
+    assert refine_mark(50.0, 0.5, model) == pytest.approx(45.08325, abs=1e-9)
     # exam-only modules never move
-    assert refine_mark(50.0, Car(0.0), model) == 50.0
+    assert refine_mark(50.0, 0.0, model) == 50.0
     # fully coursework-assessed
-    assert refine_mark(60.3, Car(1.0), model) == pytest.approx(53.403, abs=1e-9)
+    assert refine_mark(60.3, 1.0, model) == pytest.approx(53.403, abs=1e-9)
 
 
 def test_reference_decrement_monotone_on_unit_interval() -> None:
@@ -154,7 +152,7 @@ def test_reference_decrement_monotone_on_unit_interval() -> None:
     # monotonically with coursework share and peaks at fully-coursework
     model = reference_model()
     cars = np.linspace(0, 1, 10001)
-    decrements = [model.decrement(Car(float(c))) for c in cars]
+    decrements = [model.decrement(float(c)) for c in cars]
     assert decrements == sorted(decrements)
     assert decrements[-1] == pytest.approx(12.77 - 5.873, abs=1e-12)
     assert decrements[0] == 0.0
@@ -165,13 +163,13 @@ def test_intercept_is_never_subtracted() -> None:
         intercept=57.0, linear=10.0, quadratic=-4.0, r_squared=0.5,
         model_kind=ModelKind.QUADRATIC, n_observations=10,
     )
-    assert refine_mark(80.0, Car(0.5), model) == pytest.approx(80.0 - (5.0 - 1.0))
+    assert refine_mark(80.0, 0.5, model) == pytest.approx(80.0 - (5.0 - 1.0))
 
 
 def test_refine_mark_clamp() -> None:
     model = reference_model()
-    assert refine_mark(2.0, Car(0.5), model) < 0.0
-    assert refine_mark(2.0, Car(0.5), model, clamp=True) == 0.0
+    assert refine_mark(2.0, 0.5, model) < 0.0
+    assert refine_mark(2.0, 0.5, model, clamp=True) == 0.0
 
 
 def test_model_validation() -> None:
@@ -252,7 +250,7 @@ def test_pipeline_recovers_planted_effect() -> None:
     # decrement curve is well determined
     for car in (0.25, 0.5, 0.75, 1.0):
         planted = 12.77 * car - 5.873 * car**2
-        assert result.model.decrement(Car(car)) == pytest.approx(planted, abs=1.2)
+        assert result.model.decrement(car) == pytest.approx(planted, abs=1.2)
     assert result.model.linear == pytest.approx(12.77, abs=6.0)
     assert result.linear_candidate is not None
     assert result.quadratic_candidate is not None

@@ -15,11 +15,9 @@ import scipy.stats
 from markprep import (
     AssessmentMethodClass,
     AssessmentWeighting,
-    Car,
     DegenerateSampleError,
     TTestVariant,
     classify_method,
-    compute_car,
     group_mean_table,
     regularized_incomplete_beta,
     student_t_cdf,
@@ -29,13 +27,15 @@ from test_core import make_outcome
 
 
 def test_classify_method_by_ratio() -> None:
-    assert classify_method(Car(0.0)) is AssessmentMethodClass.EXAM_BASED
-    assert classify_method(Car(1.0)) is AssessmentMethodClass.COURSEWORK_BASED
-    assert classify_method(Car(0.5)) is AssessmentMethodClass.MIXED
-    assert classify_method(Car(0.01)) is AssessmentMethodClass.MIXED
-    assert classify_method(compute_car(AssessmentWeighting(100, 0))) is AssessmentMethodClass.EXAM_BASED
-    assert classify_method(compute_car(AssessmentWeighting(0, 100))) is AssessmentMethodClass.COURSEWORK_BASED
-    assert classify_method(compute_car(AssessmentWeighting(45, 55))) is AssessmentMethodClass.MIXED
+    assert classify_method(0.0) is AssessmentMethodClass.EXAM_BASED
+    assert classify_method(1.0) is AssessmentMethodClass.COURSEWORK_BASED
+    assert classify_method(0.5) is AssessmentMethodClass.MIXED
+    assert classify_method(0.01) is AssessmentMethodClass.MIXED
+    exam_only = make_outcome(exam_weight=100, cswk_weight=0, cswk_mark=None)
+    coursework_only = make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None)
+    assert classify_method(exam_only.car) is AssessmentMethodClass.EXAM_BASED
+    assert classify_method(coursework_only.car) is AssessmentMethodClass.COURSEWORK_BASED
+    assert classify_method(make_outcome(exam_weight=45, cswk_weight=55).car) is AssessmentMethodClass.MIXED
 
 
 def test_group_mean_table() -> None:
