@@ -164,9 +164,7 @@ class StudentModuleOutcome:
 
     @property
     def car(self) -> float:
-        """The coursework assessment ratio (CAR): the coursework weight over
-        100, so 0 is purely exam-assessed and 1 purely coursework-assessed.
-        This is the one definition of the ratio."""
+        """The coursework assessment ratio (CAR), coursework weight / 100; defined only here."""
         return self.weighting.coursework_weight / 100
 
 

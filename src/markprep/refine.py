@@ -263,10 +263,9 @@ def run_refinement_pipeline(
 
     # One pass collects each department's coursework weights and each fit
     # scope's ratios and marks in record order.  A scope is a department
-    # with per_department, else the whole input (None).  Two lists per scope,
-    # which the fit takes as they are, rather than (car, mark) pairs spare
-    # one live tuple per record that the garbage collector would keep
-    # rescanning.
+    # with per_department, else the whole input (None).  The fit takes the
+    # two lists as they are: (car, mark) pairs would add one live tuple per
+    # record, which the garbage collector would keep rescanning.
     weights: defaultdict[str, set[int]] = defaultdict(set)
     ratios: defaultdict[str | None, list[float]] = defaultdict(list)
     marks: defaultdict[str | None, list[float]] = defaultdict(list)
