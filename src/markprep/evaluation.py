@@ -66,23 +66,24 @@ def build_feature_table(
             f"record count {len(records)}"
         )
     marks = refined_marks if refined_marks is not None else [r.module_mark for r in records]
-    # each student's marks by year and the ratio of every module, in
-    # record order; students keep the order of their first record
-    by_student: dict[str, tuple[dict[int, list[float]], list[float]]] = {}
+    # per student, in record order: (total, count) of the marks of each year
+    # and, under key None, of the module ratios.  Totals add left to right
+    # from 0, not through sum(), which compensates float rounding from
+    # Python 3.12.  Students keep the order of their first record.
+    by_student: dict[str, dict[int | None, tuple[float, int]]] = {}
     for record, mark in zip(records, marks):
-        if record.student_id not in by_student:
-            by_student[record.student_id] = ({}, [])
-        year_marks, cars = by_student[record.student_id]
-        year_marks.setdefault(record.year_level, []).append(mark)
-        cars.append(record.car)
+        totals = by_student.setdefault(record.student_id, {})
+        for key, value in ((record.year_level, mark), (None, record.car)):
+            total, count = totals.get(key, (0, 0))
+            totals[key] = (total + value, count + 1)
 
     needed_years = [*predictor_years, target_year]
     rows: list[FeatureRow] = []
-    for student_id, (year_marks, cars) in by_student.items():
-        if not all(year in year_marks for year in needed_years):
+    for student_id, totals in by_student.items():
+        if not all(year in totals for year in needed_years):
             continue
-        averages = {year: sum(year_marks[year]) / len(year_marks[year]) for year in needed_years}
-        features = (*[averages[year] for year in predictor_years], sum(cars) / len(cars))
+        averages = {key: total / count for key, (total, count) in totals.items()}
+        features = (*[averages[year] for year in predictor_years], averages[None])
         label = scheme.classify(min(100.0, max(0.0, averages[target_year])))
         rows.append(FeatureRow(student_id, features, label))
 
@@ -217,13 +218,15 @@ def auc_multiclass(
 def _average_auc(per_class: Mapping[DegreeBand, float], counts: Mapping[DegreeBand, int], average: str) -> float:
     """Per-band AUCs weighted by ``counts``, the true rows per band, or
     equally (``macro``).  Sums run worst band first whatever the mapping
-    order, so a report read back from a file reproduces its saved AUC."""
-    present = [band for band in BAND_ORDER if band in per_class]
-    if average == "macro":
-        return sum(per_class[band] for band in present) / len(present)
+    order, so a report read back from a file reproduces its saved AUC, and
+    add left to right from 0 like the feature table's."""
     total = sum(counts.values())
-    weights = [counts[band] / total for band in present]
-    return sum(per_class[band] * weight for band, weight in zip(present, weights)) / sum(weights)
+    weighted = weights = 0.0
+    for band in [band for band in BAND_ORDER if band in per_class]:
+        weight = 1.0 if average == "macro" else counts[band] / total
+        weighted += per_class[band] * weight
+        weights += weight
+    return weighted / weights
 
 
 @dataclass(frozen=True, slots=True)

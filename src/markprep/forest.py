@@ -42,7 +42,10 @@ def gini_impurity(counts: Sequence[int]) -> float:
     total = sum(counts)
     if total == 0:
         return 0.0
-    return 1.0 - sum((count / total) ** 2 for count in counts)
+    squares = 0.0  # added left to right: sum() compensates floats from 3.12
+    for count in counts:
+        squares += (count / total) ** 2
+    return 1.0 - squares
 
 
 @dataclass(frozen=True, slots=True)

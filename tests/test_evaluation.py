@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import markprep.evaluation
+import markprep.forest
 from markprep import (
     CAR_COLUMN,
     DEFAULT_BANDING,
@@ -24,9 +27,14 @@ from markprep import (
     build_feature_table,
     compare_with_without_car,
     confusion_matrix,
+    default_cohort_spec,
     evaluate_forest,
+    generate_cohort,
+    gini_impurity,
+    holdout_split,
     render_confusion_text,
     render_report_text,
+    run_refinement_pipeline,
     train_forest,
 )
 from markprep.evaluation import _midranks
@@ -113,7 +121,16 @@ def test_feature_table_clamps_target_average_before_banding() -> None:
 # The feature table as it was built before each student's records were
 # grouped in one pass: one ``year_average`` call per student and year, each
 # re-filtering that student's records.  Kept as the oracle the one-pass
-# table must equal exactly: ids, features, labels and row order.
+# table must equal exactly: ids, features, labels and row order.  Its
+# averages add left to right from 0, which is what sum() did before Python
+# 3.12, so the oracle gives the same bits on every Python.
+
+
+def added_in_order(values):
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def year_average(outcomes, year_level, marks=None):
@@ -129,7 +146,7 @@ def year_average(outcomes, year_level, marks=None):
     ]
     if not selected:
         raise ValueError(f"no modules recorded for year {year_level}")
-    return sum(selected) / len(selected)
+    return added_in_order(selected) / len(selected)
 
 
 def oracle_feature_table(
@@ -153,7 +170,7 @@ def oracle_feature_table(
             year_average(outcomes, year, marks) for year in predictor_years
         ]
         cars = [outcome.weighting.coursework_weight / 100 for outcome in outcomes]
-        features.append(sum(cars) / len(cars))
+        features.append(added_in_order(cars) / len(cars))
         target_average = year_average(outcomes, target_year, marks)
         label = scheme.classify(min(100.0, max(0.0, target_average)))
         rows.append(FeatureRow(student_id, tuple(features), label))
@@ -238,6 +255,70 @@ def test_feature_table_equals_the_year_average_oracle(records, refined, options,
         # the case is not vacuous: rows in first-appearance order, not sorted
         assert len(table.rows) > 20
         assert [row.student_id for row in table.rows] != sorted(row.student_id for row in table.rows)
+
+
+def compensated_sum(iterable, /, start=0):
+    """CPython 3.12's builtin sum() on ints and floats, transcribed: ints
+    add exactly until the total is a float, and from then on each item
+    adds with Neumaier compensation, applied once at the end."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        total = total + item
+        if type(total) is float:
+            break
+    else:
+        return total
+    compensation = 0.0
+    for item in items:
+        value = float(item)
+        added = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - added) + value
+        else:
+            compensation += (value - added) + total
+        total = added
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_compensated_sum_is_the_later_builtin() -> None:
+    # the emulation differs from this interpreter's sum() in exactly the
+    # way Python 3.12 does: integers stay exact, floats are compensated
+    assert compensated_sum([1, 2, 3]) == 6 and type(compensated_sum([1, 2, 3])) is int
+    assert compensated_sum([2**70, 1]) == 2**70 + 1
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1e100, 1.0, -1e100, 1.0]) == 2.0
+    assert compensated_sum([3, 0.5, 1]) == 4.5
+    assert compensated_sum([]) == 0
+
+
+def test_outputs_do_not_depend_on_the_python_sum(monkeypatch) -> None:
+    """The feature table, the trees, the scored reports and the Gini
+    impurities are the same bits whether the builtin sum() compensates
+    float rounding (Python 3.12 on) or not."""
+    records = generate_cohort(default_cohort_spec(seed=3, student_count=150))
+    refined = run_refinement_pipeline(records).refined_marks
+
+    def outputs():
+        table = build_feature_table(records, refined_marks=refined)
+        train, test = holdout_split(list(table.rows), 0.5, seed=4)
+        # several forests, since a compensated sum moves the averaged AUC
+        # of only some of them
+        models = [train_forest(train, ForestParams(tree_count=10), seed) for seed in range(10)]
+        reports = [
+            evaluate_forest(model, test, average).to_json_dict()
+            for model in models
+            for average in ("weighted", "macro")
+        ]
+        impurities = [gini_impurity(counts) for counts in itertools.product(range(4), repeat=6)]
+        return table, [model.trees for model in models], reports, impurities
+
+    expected = outputs()
+    for module in (markprep.evaluation, markprep.forest):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert outputs() == expected
 
 
 def test_confusion_matrix_counts_and_margins() -> None:
