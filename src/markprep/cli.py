@@ -237,7 +237,7 @@ def _output_option(fn):
 def _seed_option(default: int | None):
     return click.option(
         "--seed",
-        type=int,
+        type=click.IntRange(min=0),
         default=default,
         help=f"Root seed for all randomness.  [default: {DEFAULT_SEED}]",
     )
@@ -641,6 +641,8 @@ def _parse_predictor_years(ctx: click.Context, value: str, target_year: int) -> 
         _usage_error(f"{name} must be comma-separated integers, got {value!r}")
     if not years:
         _usage_error(f"{name} must not be empty")
+    if min(years) < 0:
+        _usage_error(f"{name} {value} names a negative year; years are integers >= 0")
     if len(set(years)) != len(years):
         _usage_error(f"{name} {value} names a year twice")
     if target_year in years:
@@ -742,7 +744,7 @@ def _comparison_report(result: ComparisonResult, format: str) -> str:
 @click.option("--min-leaf", type=int, default=1, help="Minimum rows per leaf.  [default: 1]")
 @click.option("--no-bootstrap", is_flag=True, default=False, help="Train every tree on the full training set instead of bootstrap resamples.")
 @click.option("--auc-average", type=click.Choice(["weighted", "macro"]), default="weighted", help="Multiclass AUC averaging.  [default: weighted]")
-@click.option("--target-year", type=int, default=3, help="Year whose band is predicted.  [default: 3]")
+@click.option("--target-year", type=click.IntRange(min=0), default=3, help="Year whose band is predicted.  [default: 3]")
 @click.option("--predictor-years", type=str, default="1,2", help="Comma-separated predictor years.  [default: 1,2]")
 @_seed_option(DEFAULT_SEED)
 @_config_option

@@ -454,6 +454,15 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
     )
     assert "--reference-coefficients and --per-department are exclusive" in output
     assert not out.exists() and not model_out.exists()
+    # seeds and years are integers >= 0; generate names the flag like evaluate
+    for args in (["--seed", "-1"], ["--target-year", "-2"]):
+        output = run("evaluate", str(refined), *args, expect=2)
+        assert f"Invalid value for '{args[0]}': {args[1]} is not in the range x>=0." in output
+    output = run("evaluate", str(refined), "--predictor-years", "-1,2", expect=2)
+    assert "--predictor-years -1,2 names a negative year; years are integers >= 0" in output
+    output = run("generate", "--seed", "-1", "--out", str(cohort.with_name("negative.csv")), expect=2)
+    assert "Invalid value for '--seed': -1 is not in the range x>=0." in output
+    assert not cohort.with_name("negative.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -483,6 +492,9 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
         ("evaluate", {"trees": [4]}),
         ("evaluate", {"test_fraction": [0.5]}),
         ("refine", {"reference_coefficients": True, "per_department": True}),
+        ("evaluate", {"seed": -1}),
+        ("evaluate", {"target_year": -2}),
+        ("evaluate", {"predictor_years": "-1,2"}),
     ],
 )
 def test_bad_config_value_is_usage_error(
@@ -499,6 +511,8 @@ def test_bad_config_value_is_usage_error(
         assert "--" + key.replace("_", "-") not in result.output
     if "max_features" in config:
         assert "config key max_features 4 exceeds the feature count 3" in result.output
+    if config in ({"seed": -1}, {"target_year": -2}):
+        assert f"{next(iter(config.values()))} is not in the range x>=0." in result.output
 
 
 def test_evaluate_config_banding_scheme(refined: Path, tmp_path: Path) -> None:
