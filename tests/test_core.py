@@ -94,13 +94,17 @@ def test_outcome_range_checks() -> None:
     make_outcome(year_level=0)  # preparatory year is legitimate
 
 
+def test_compute_car_is_coursework_share() -> None:
+    # the ratio is the coursework weight over 100, exact at both ends
+    assert make_outcome(exam_weight=70, cswk_weight=30).car == pytest.approx(0.3)
+    assert make_outcome(exam_weight=100, cswk_weight=0, cswk_mark=None).car == 0.0
+    assert make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None).car == 1.0
+
+
 def test_outcome_car_property() -> None:
     # the coursework share of the weighting, as a plain float
     assert type(make_outcome(exam_weight=70, cswk_weight=30).car) is float
-    assert make_outcome(exam_weight=70, cswk_weight=30).car == pytest.approx(0.3)
     assert make_outcome(exam_weight=30, cswk_weight=70).car == pytest.approx(0.7)
-    assert make_outcome(exam_weight=100, cswk_weight=0, cswk_mark=None).car == 0.0
-    assert make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None).car == 1.0
 
 
 def test_default_banding_boundaries() -> None:
