@@ -4,165 +4,102 @@ Derives coursework assessment ratios from module weightings, removes the
 fitted ratio effect from module marks, and measures how much the ratio
 attribute helps a from-scratch random forest predict final degree bands.
 Everything downstream of a seed is deterministic.
+
+A public name loads its submodule on first use, so ``import markprep``
+by itself loads neither the submodules nor numpy.
 """
-from .core import (
-    DEFAULT_BANDING,
-    AssessmentWeighting,
-    BandingScheme,
-    DegreeBand,
-    StudentModuleOutcome,
-)
-from .evaluation import (
-    CAR_COLUMN,
-    DEFAULT_TEST_FRACTION,
-    ComparisonResult,
-    ConfusionMatrix,
-    EvaluationReport,
-    UndefinedAucError,
-    auc_binary,
-    auc_multiclass,
-    build_feature_table,
-    compare_with_without_car,
-    confusion_matrix,
-    evaluate_forest,
-    render_confusion_text,
-    render_report_text,
-)
-from .forest import (
-    FeatureRow,
-    FeatureTable,
-    ForestModel,
-    ForestParams,
-    SingleClassError,
-    TreeNode,
-    gini_impurity,
-    holdout_split,
-    proba_matrix,
-    train_forest,
-)
-from .ingest import (
-    RECOMBINATION_TOLERANCE,
-    REFINED_MARK_COLUMN,
-    TRANSCRIPT_COLUMNS,
-    IngestReport,
-    IssueCategory,
-    MissingPolicy,
-    Severity,
-    TranscriptSchemaError,
-    ValidationIssue,
-    apply_missing_policy,
-    deduplicate,
-    parse_refined_transcript_csv,
-    parse_transcript_csv,
-    write_transcript_csv,
-)
-from .refine import (
-    REFERENCE_LINEAR_COEFFICIENT,
-    REFERENCE_QUADRATIC_COEFFICIENT,
-    ModelKind,
-    RefinementModel,
-    RefinementResult,
-    SingularFitError,
-    choose_model_kind,
-    fit_polynomial,
-    reference_model,
-    refine_mark,
-    run_refinement_pipeline,
-)
-from .stats import (
-    AssessmentMethodClass,
-    DegenerateSampleError,
-    GroupSummary,
-    TTestResult,
-    TTestVariant,
-    classify_method,
-    group_mean_table,
-    regularized_incomplete_beta,
-    student_t_cdf,
-    two_sample_t,
-)
-from .streams import normal_deviate, substream
-from .synthgen import (
-    DEFAULT_WEIGHT_CLASSES,
-    CohortSpec,
-    CohortSpecError,
-    DepartmentProfile,
-    default_cohort_spec,
-    generate_cohort,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssessmentMethodClass",
-    "AssessmentWeighting",
-    "BandingScheme",
-    "CAR_COLUMN",
-    "CohortSpec",
-    "CohortSpecError",
-    "ComparisonResult",
-    "ConfusionMatrix",
-    "DEFAULT_BANDING",
-    "DEFAULT_TEST_FRACTION",
-    "DEFAULT_WEIGHT_CLASSES",
-    "DegenerateSampleError",
-    "DegreeBand",
-    "DepartmentProfile",
-    "EvaluationReport",
-    "FeatureRow",
-    "FeatureTable",
-    "ForestModel",
-    "ForestParams",
-    "GroupSummary",
-    "IngestReport",
-    "IssueCategory",
-    "MissingPolicy",
-    "ModelKind",
-    "RECOMBINATION_TOLERANCE",
-    "REFERENCE_LINEAR_COEFFICIENT",
-    "REFERENCE_QUADRATIC_COEFFICIENT",
-    "REFINED_MARK_COLUMN",
-    "RefinementModel",
-    "RefinementResult",
-    "Severity",
-    "SingleClassError",
-    "SingularFitError",
-    "StudentModuleOutcome",
-    "TRANSCRIPT_COLUMNS",
-    "TTestResult",
-    "TTestVariant",
-    "TranscriptSchemaError",
-    "TreeNode",
-    "UndefinedAucError",
-    "ValidationIssue",
-    "auc_binary",
-    "auc_multiclass",
-    "build_feature_table",
-    "choose_model_kind",
-    "classify_method",
-    "compare_with_without_car",
-    "confusion_matrix",
-    "deduplicate",
-    "default_cohort_spec",
-    "evaluate_forest",
-    "fit_polynomial",
-    "generate_cohort",
-    "gini_impurity",
-    "group_mean_table",
-    "holdout_split",
-    "normal_deviate",
-    "parse_refined_transcript_csv",
-    "parse_transcript_csv",
-    "proba_matrix",
-    "reference_model",
-    "refine_mark",
-    "regularized_incomplete_beta",
-    "render_confusion_text",
-    "render_report_text",
-    "run_refinement_pipeline",
-    "student_t_cdf",
-    "substream",
-    "train_forest",
-    "two_sample_t",
-    "write_transcript_csv",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_BANDING": "core",
+    "AssessmentWeighting": "core",
+    "BandingScheme": "core",
+    "DegreeBand": "core",
+    "StudentModuleOutcome": "core",
+    "CAR_COLUMN": "evaluation",
+    "DEFAULT_TEST_FRACTION": "fixtures",
+    "ComparisonResult": "evaluation",
+    "ConfusionMatrix": "evaluation",
+    "EvaluationReport": "evaluation",
+    "UndefinedAucError": "evaluation",
+    "auc_binary": "evaluation",
+    "auc_multiclass": "evaluation",
+    "build_feature_table": "evaluation",
+    "compare_with_without_car": "evaluation",
+    "confusion_matrix": "evaluation",
+    "evaluate_forest": "evaluation",
+    "render_confusion_text": "evaluation",
+    "render_report_text": "evaluation",
+    "FeatureRow": "forest",
+    "FeatureTable": "forest",
+    "ForestModel": "forest",
+    "ForestParams": "forest",
+    "SingleClassError": "forest",
+    "TreeNode": "forest",
+    "gini_impurity": "forest",
+    "holdout_split": "forest",
+    "proba_matrix": "forest",
+    "train_forest": "forest",
+    "RECOMBINATION_TOLERANCE": "ingest",
+    "REFINED_MARK_COLUMN": "ingest",
+    "TRANSCRIPT_COLUMNS": "ingest",
+    "IngestReport": "ingest",
+    "IssueCategory": "ingest",
+    "MissingPolicy": "ingest",
+    "Severity": "ingest",
+    "TranscriptSchemaError": "ingest",
+    "ValidationIssue": "ingest",
+    "apply_missing_policy": "ingest",
+    "deduplicate": "ingest",
+    "parse_refined_transcript_csv": "ingest",
+    "parse_transcript_csv": "ingest",
+    "write_transcript_csv": "ingest",
+    "REFERENCE_LINEAR_COEFFICIENT": "refine",
+    "REFERENCE_QUADRATIC_COEFFICIENT": "refine",
+    "ModelKind": "refine",
+    "RefinementModel": "refine",
+    "RefinementResult": "refine",
+    "SingularFitError": "refine",
+    "choose_model_kind": "refine",
+    "fit_polynomial": "refine",
+    "reference_model": "refine",
+    "refine_mark": "refine",
+    "run_refinement_pipeline": "refine",
+    "AssessmentMethodClass": "stats",
+    "DegenerateSampleError": "stats",
+    "GroupSummary": "stats",
+    "TTestResult": "stats",
+    "TTestVariant": "stats",
+    "classify_method": "stats",
+    "group_mean_table": "stats",
+    "regularized_incomplete_beta": "stats",
+    "student_t_cdf": "stats",
+    "two_sample_t": "stats",
+    "normal_deviate": "streams",
+    "substream": "streams",
+    "DEFAULT_WEIGHT_CLASSES": "synthgen",
+    "CohortSpec": "synthgen",
+    "CohortSpecError": "synthgen",
+    "DepartmentProfile": "synthgen",
+    "default_cohort_spec": "synthgen",
+    "generate_cohort": "synthgen",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and keep the value here,
+    so later lookups skip this function (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

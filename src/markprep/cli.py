@@ -11,26 +11,34 @@ same validation as typed flags.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import NoReturn
+from typing import IO, TYPE_CHECKING, Iterator, NoReturn
 
 import click
 
-from .core import DEFAULT_BANDING, BandingScheme, DegreeBand, read_list, read_number, read_string
-from .evaluation import (
-    DEFAULT_TEST_FRACTION,
-    ComparisonResult,
-    build_feature_table,
-    compare_with_without_car,
+# Only modules that load no numpy are imported here, so that `validate`,
+# `stats` and `--help` start without it; the commands that compute with
+# numpy import evaluation, forest, refine and synthgen in their bodies.
+from . import __version__
+from .core import (
+    DEFAULT_BANDING,
+    BandingScheme,
+    DegreeBand,
+    read_list,
+    read_number,
+    read_string,
     render_aligned_table,
-    render_confusion_text,
-    render_report_text,
 )
-from .fixtures import CONFUSION_WITH_CAR, CONFUSION_WITHOUT_CAR, PublishedConfusionTable
-from .forest import ForestParams
+from .fixtures import (
+    CONFUSION_WITH_CAR,
+    CONFUSION_WITHOUT_CAR,
+    DEFAULT_TEST_FRACTION,
+    PublishedConfusionTable,
+)
 from .ingest import (
     IngestReport,
     MissingPolicy,
@@ -42,16 +50,6 @@ from .ingest import (
     parse_transcript_csv,
     write_transcript_csv,
 )
-from .refine import (
-    RefinementModel,
-    RefinementResult,
-    SavedModels,
-    SingularFitError,
-    models_from_json,
-    models_to_json,
-    reference_model,
-    run_refinement_pipeline,
-)
 from .stats import (
     AssessmentMethodClass,
     DegenerateSampleError,
@@ -60,7 +58,10 @@ from .stats import (
     group_mean_table,
     two_sample_t,
 )
-from .synthgen import CohortSpec, CohortSpecError, default_cohort_spec, generate_cohort
+
+if TYPE_CHECKING:
+    from .evaluation import ComparisonResult
+    from .refine import RefinementModel, RefinementResult, SavedModels
 
 DEFAULT_SEED = 42
 
@@ -166,11 +167,27 @@ class _FiniteFloatRange(click.FloatRange):
         return number
 
 
+@contextlib.contextmanager
+def _output_file(path: str | Path, label: str) -> Iterator[IO[str]]:
+    """``path`` opened for writing; a file that cannot be written is a usage
+    error, as an unreadable input is."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            yield stream
+    except OSError as exc:
+        _usage_error(f"cannot write {label} {path}: {exc.strerror or exc}")
+
+
+def _write_text(path: str | Path, text: str, label: str) -> None:
+    with _output_file(path, label) as stream:
+        stream.write(text)
+
+
 def _emit(text: str, output_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if output_path:
-        Path(output_path).write_text(text, encoding="utf-8")
+        _write_text(output_path, text, "report")
     else:
         click.echo(text, nl=False)
 
@@ -244,7 +261,7 @@ def _seed_option(default: int | None):
 
 
 @click.group()
-@click.version_option(package_name="markprep")
+@click.version_option(version=__version__)
 def main() -> None:
     """Prepare transcript data: coursework-ratio refinement and degree-band
     prediction.
@@ -266,6 +283,8 @@ def generate(
     out: str, spec: str | None, spec_out: str | None, students: int | None, seed: int | None
 ) -> None:
     """Write a deterministic synthetic cohort CSV plus its spec JSON."""
+    from .synthgen import CohortSpec, CohortSpecError, default_cohort_spec, generate_cohort
+
     try:
         if spec:
             cohort_spec = CohortSpec.from_json_dict(_read_json_object(spec, f"spec {spec}"))
@@ -284,8 +303,9 @@ def generate(
 
     out_path = Path(out)
     spec_out_path = Path(spec_out) if spec_out else out_path.with_suffix(".spec.json")
-    write_transcript_csv(records, out_path)
-    spec_out_path.write_text(cohort_spec.to_json(), encoding="utf-8")
+    with _output_file(out_path, "cohort CSV") as stream:
+        write_transcript_csv(records, stream)
+    _write_text(spec_out_path, cohort_spec.to_json(), "cohort spec")
     students_written = len({record.student_id for record in records})
     click.echo(f"wrote {len(records)} records for {students_written} students to {out_path}")
     click.echo(f"wrote cohort spec to {spec_out_path}")
@@ -530,7 +550,7 @@ def _model_lines(result: RefinementResult) -> list[str]:
 
 def _models_csv(models: SavedModels) -> str:
     lines = ["scope,model_kind,b0,b1,b2,r_squared,n_observations"]
-    scoped = [("pooled", models)] if isinstance(models, RefinementModel) else sorted(models.items())
+    scoped = sorted(models.items()) if isinstance(models, dict) else [("pooled", models)]
     for scope, model in scoped:
         lines.append(
             f"{scope},{model.model_kind.value},{model.intercept!r},"
@@ -547,14 +567,16 @@ def _models_text(models: SavedModels) -> str:
             f"R^2 = {model.r_squared:.6f}, n = {model.n_observations}"
         )
 
-    if isinstance(models, RefinementModel):
-        return f"{models.model_kind.value} model: {fit(models)}\n"
-    return "".join(
-        f"{scope}: {model.model_kind.value} {fit(model)}\n" for scope, model in sorted(models.items())
-    )
+    if isinstance(models, dict):
+        return "".join(
+            f"{scope}: {model.model_kind.value} {fit(model)}\n" for scope, model in sorted(models.items())
+        )
+    return f"{models.model_kind.value} model: {fit(models)}\n"
 
 
 def _refine_report_json(result: RefinementResult) -> dict:
+    from .refine import models_to_json
+
     def saved(models: SavedModels | None) -> dict | None:
         return None if models is None else models_to_json(models)
 
@@ -598,6 +620,8 @@ def refine(
 ) -> None:
     """Fit the ratio model and write marks with the fitted ratio effect
     removed, as a trailing refined_module_mark column."""
+    from .refine import SingularFitError, models_to_json, reference_model, run_refinement_pipeline
+
     if reference_coefficients and per_department:
         _usage_error(
             f"{_setting_name(ctx, 'reference_coefficients')} and {_setting_name(ctx, 'per_department')} "
@@ -615,11 +639,12 @@ def refine(
         _data_error(str(exc))
 
     out_path = Path(out) if out else Path(input_csv).with_suffix(".refined.csv")
-    write_transcript_csv(result.records, out_path, refined_marks=result.refined_marks)
+    with _output_file(out_path, "refined CSV") as stream:
+        write_transcript_csv(result.records, stream, refined_marks=result.refined_marks)
 
     model_path = Path(model_out) if model_out else Path(input_csv).with_suffix(".model.json")
     models = result.department_models if result.department_models is not None else result.model
-    model_path.write_text(_json_text(models_to_json(models)), encoding="utf-8")
+    _write_text(model_path, _json_text(models_to_json(models)), "model")
 
     if format == "json":
         text = _json_text(_refine_report_json(result))
@@ -666,6 +691,8 @@ def _parse_banding(value: object) -> BandingScheme:
 
 
 def _fixture_text(without: PublishedConfusionTable, with_car: PublishedConfusionTable) -> str:
+    from .evaluation import render_confusion_text
+
     blocks = []
     for title, table in (
         ("without ratio attribute", without),
@@ -715,6 +742,8 @@ def _comparison_csv(result: ComparisonResult) -> str:
 
 
 def _comparison_text(result: ComparisonResult) -> str:
+    from .evaluation import render_report_text
+
     parts = [
         "with ratio attribute:",
         render_report_text(result.with_car),
@@ -772,6 +801,9 @@ def evaluate(
 
     INPUT_CSV must be a refined transcript (the output of `refine`).
     """
+    from .evaluation import build_feature_table, compare_with_without_car
+    from .forest import ForestParams
+
     if from_fixture:
         if format == "csv":
             _usage_error("--from-fixture prints text or json, not csv")
@@ -831,6 +863,9 @@ def evaluate(
 def _render_saved_report(path: str, data: dict, format: str) -> str:
     """Parse a saved `evaluate` or `refine` JSON, then render it like the
     command that wrote it; a document that does not parse is a usage error."""
+    from .evaluation import ComparisonResult
+    from .refine import models_from_json, models_to_json
+
     is_comparison = "with_car" in data and "without_car" in data
     kind = "evaluation" if is_comparison else "model"
     try:

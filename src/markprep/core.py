@@ -219,3 +219,13 @@ DEFAULT_BANDING = BandingScheme(
         (70.0, DegreeBand.FIRST),
     )
 )
+
+
+def render_aligned_table(rows: Sequence[Sequence[str]]) -> str:
+    """Text columns two spaces apart, each as wide as its widest cell: the
+    first column left-justified, the others right-justified."""
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]).rstrip()
+        for row in rows
+    )

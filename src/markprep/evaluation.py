@@ -17,8 +17,8 @@ from .core import (
     DegreeBand,
     StudentModuleOutcome,
 )
-from .core import read_count, read_fields, read_list, read_number, read_string
-from .fixtures import PUBLISHED_CLASS_ORDER
+from .core import read_count, read_fields, read_list, read_number, read_string, render_aligned_table
+from .fixtures import DEFAULT_TEST_FRACTION, PUBLISHED_CLASS_ORDER
 from .forest import (
     FeatureRow,
     FeatureTable,
@@ -28,9 +28,6 @@ from .forest import (
     proba_matrix,
     train_forest,
 )
-
-# Mirrors the published evaluation, which scored 284 of 406 students.
-DEFAULT_TEST_FRACTION = 0.6995
 
 CAR_COLUMN = "mean_car"
 
@@ -376,16 +373,6 @@ def compare_with_without_car(
     report_without = evaluate_forest(model_without, masked_test, average)
 
     return ComparisonResult(with_car=report_with, without_car=report_without)
-
-
-def render_aligned_table(rows: Sequence[Sequence[str]]) -> str:
-    """Text columns two spaces apart, each as wide as its widest cell: the
-    first column left-justified, the others right-justified."""
-    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]).rstrip()
-        for row in rows
-    )
 
 
 def render_confusion_text(

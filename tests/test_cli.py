@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from markprep.cli import main
+from test_package import run_python
 
 runner = CliRunner()
 
@@ -430,6 +431,47 @@ def test_output_flag_writes_file_instead_of_stdout(cohort: Path, tmp_path: Path)
     output = run("stats", str(cohort), "--output", str(target))
     assert output == ""
     assert "Department" in target.read_text()
+
+
+@pytest.mark.parametrize(
+    ("args", "label"),
+    [
+        (("generate", "--out", "{missing}/c.csv"), "cohort CSV"),
+        (("generate", "--out", "{tmp}/c.csv", "--spec-out", "{missing}/c.spec.json"), "cohort spec"),
+        (("validate", "{cohort}", "--output", "{missing}/r.txt"), "report"),
+        (("stats", "{cohort}", "--output", "{missing}/r.txt"), "report"),
+        (("refine", "{cohort}", "--out", "{missing}/r.csv"), "refined CSV"),
+        (("refine", "{cohort}", "--out", "{tmp}/r.csv", "--model-out", "{missing}/m.json"), "model"),
+        (("evaluate", "--from-fixture", "--output", "{missing}/r.txt"), "report"),
+    ],
+    ids=["generate-out", "generate-spec-out", "validate-output", "stats-output", "refine-out",
+         "refine-model-out", "evaluate-output"],
+)
+def test_unwritable_output_is_usage_error(cohort: Path, tmp_path: Path, args, label: str) -> None:
+    missing = tmp_path / "no-such-dir"
+    paths = {"missing": missing, "tmp": tmp_path, "cohort": cohort}
+    output = run(*[arg.format(**paths) for arg in args], expect=2)
+    target = next(arg.format(**paths) for arg in args if arg.startswith("{missing}"))
+    assert f"cannot write {label} {target}: No such file or directory" in output
+    assert "Traceback" not in output
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("validate", "{cohort}"), ("stats", "{cohort}"), ("--help",), ("evaluate", "--help")],
+    ids=["validate", "stats", "help", "evaluate-help"],
+)
+def test_command_runs_without_numpy(cohort: Path, args) -> None:
+    probe = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+        "from markprep.cli import main\n"
+        "main(sys.argv[1:], prog_name='markprep')\n"
+    )
+    result = run_python("-c", probe, *[arg.format(cohort=cohort) for arg in args])
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.endswith("False\n")
 
 
 def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:

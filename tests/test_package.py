@@ -1,10 +1,76 @@
-"""Package surface: the public export list."""
+"""Package surface: the public export list, loaded lazily."""
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import markprep
+import markprep.evaluation
+
+SRC = Path(markprep.__file__).resolve().parent.parent
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter, importing the same markprep as this test run."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 def test_all_names_resolve_and_are_sorted() -> None:
     missing = [name for name in markprep.__all__ if not hasattr(markprep, name)]
     assert missing == []
     assert markprep.__all__ == sorted(set(markprep.__all__))
+
+
+@pytest.mark.parametrize("name", markprep.__all__)
+def test_from_import_works_for_every_public_name(name: str) -> None:
+    namespace: dict = {}
+    exec(f"from markprep import {name}", namespace)
+    assert namespace[name] is getattr(markprep, name)
+
+
+def test_dir_lists_every_public_name() -> None:
+    assert set(markprep.__all__) <= set(dir(markprep))
+
+
+def test_unknown_attribute_is_attribute_error() -> None:
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(markprep, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from markprep import no_such_name", {})
+
+
+def test_moved_constant_keeps_its_old_home() -> None:
+    assert markprep.evaluation.DEFAULT_TEST_FRACTION == markprep.DEFAULT_TEST_FRACTION == 0.6995
+
+
+def test_import_loads_no_numpy() -> None:
+    probe = run_python("-c", "import sys, markprep; print('numpy' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "False\n"
+
+
+def test_version_runs_from_source_checkout() -> None:
+    result = run_python("-m", "markprep", "--version")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith(f"version {markprep.__version__}\n")
+    assert markprep.__version__ == "0.1.0"
+
+
+def test_pyproject_version_matches_package() -> None:
+    # a regex, since tomllib is new in Python 3.11
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == markprep.__version__
