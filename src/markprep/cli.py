@@ -15,8 +15,10 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, NoReturn
+from typing import IO, TYPE_CHECKING, Callable, ContextManager, Iterator, NoReturn
 
 import click
 
@@ -99,6 +101,8 @@ def _read_json_object(path: str, label: str) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         _usage_error(f"cannot read {label}: {exc}")
+    except UnicodeDecodeError as exc:
+        _usage_error(f"cannot read {label}: not UTF-8 text ({exc})")
     except json.JSONDecodeError as exc:
         _usage_error(f"{label} is not valid JSON: {exc}")
     if not isinstance(data, dict):
@@ -167,19 +171,58 @@ class _FiniteFloatRange(click.FloatRange):
         return number
 
 
+def _new_file_mode() -> int:
+    """The mode ``open`` gives a new file: 0o666 less the umask, which can
+    be read only by setting it."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 @contextlib.contextmanager
-def _output_file(path: str | Path, label: str) -> Iterator[IO[str]]:
-    """``path`` opened for writing; a file that cannot be written is a usage
-    error, as an unreadable input is."""
+def _output_files() -> Iterator[Callable[[Path, str], ContextManager[IO[str]]]]:
+    """Yield ``stage(path, label)``, which opens ``path`` for writing.
+
+    Each file is written to a temporary file beside its target, and the
+    files staged in the block are moved into place only once all of them
+    are written, so a command that fails part-way leaves no output behind
+    and a file already at a target keeps its bytes.  A file that cannot be
+    written is a usage error, as an unreadable input is.
+    """
+    staged: list[tuple[str, Path, str]] = []  # temporary file, target, label
+
+    @contextlib.contextmanager
+    def stage(path: Path, label: str) -> Iterator[IO[str]]:
+        try:
+            if path.exists() and not path.is_file():
+                # a device or pipe, such as /dev/stdout, cannot be replaced
+                with open(path, "w", encoding="utf-8", newline="") as stream:
+                    yield stream
+                return
+            fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+            staged.append((temp, path, label))
+            os.chmod(fd, _new_file_mode())
+            with open(fd, "w", encoding="utf-8", newline="") as stream:
+                yield stream
+        except OSError as exc:
+            _usage_error(f"cannot write {label} {path}: {exc.strerror or exc}")
+
     try:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            yield stream
-    except OSError as exc:
-        _usage_error(f"cannot write {label} {path}: {exc.strerror or exc}")
+        yield stage
+        for temp, path, label in staged:
+            try:
+                os.replace(temp, path)
+            except OSError as exc:
+                _usage_error(f"cannot write {label} {path}: {exc.strerror or exc}")
+    finally:
+        # a no-op for each file already moved into place
+        for temp, _, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)
 
 
 def _write_text(path: str | Path, text: str, label: str) -> None:
-    with _output_file(path, label) as stream:
+    with _output_files() as stage, stage(Path(path), label) as stream:
         stream.write(text)
 
 
@@ -204,6 +247,8 @@ def _read_records(path: str, parse=parse_transcript_csv, warn_rejects: bool = Tr
         parsed = parse(path)
     except OSError as exc:
         _usage_error(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        _usage_error(f"cannot read {path}: not UTF-8 text ({exc})")
     except TranscriptSchemaError as exc:
         refined = parse is parse_refined_transcript_csv
         _usage_error(f"{exc} (expected the refined schema written by `refine`)" if refined else str(exc))
@@ -303,9 +348,11 @@ def generate(
 
     out_path = Path(out)
     spec_out_path = Path(spec_out) if spec_out else out_path.with_suffix(".spec.json")
-    with _output_file(out_path, "cohort CSV") as stream:
-        write_transcript_csv(records, stream)
-    _write_text(spec_out_path, cohort_spec.to_json(), "cohort spec")
+    with _output_files() as stage:
+        with stage(out_path, "cohort CSV") as stream:
+            write_transcript_csv(records, stream)
+        with stage(spec_out_path, "cohort spec") as stream:
+            stream.write(cohort_spec.to_json())
     students_written = len({record.student_id for record in records})
     click.echo(f"wrote {len(records)} records for {students_written} students to {out_path}")
     click.echo(f"wrote cohort spec to {spec_out_path}")
@@ -639,12 +686,13 @@ def refine(
         _data_error(str(exc))
 
     out_path = Path(out) if out else Path(input_csv).with_suffix(".refined.csv")
-    with _output_file(out_path, "refined CSV") as stream:
-        write_transcript_csv(result.records, stream, refined_marks=result.refined_marks)
-
     model_path = Path(model_out) if model_out else Path(input_csv).with_suffix(".model.json")
     models = result.department_models if result.department_models is not None else result.model
-    _write_text(model_path, _json_text(models_to_json(models)), "model")
+    with _output_files() as stage:
+        with stage(out_path, "refined CSV") as stream:
+            write_transcript_csv(result.records, stream, refined_marks=result.refined_marks)
+        with stage(model_path, "model") as stream:
+            stream.write(_json_text(models_to_json(models)))
 
     if format == "json":
         text = _json_text(_refine_report_json(result))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Sequence
 
@@ -111,7 +111,7 @@ class AssessmentWeighting:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StudentModuleOutcome:
     """One student's result on one module.
 
@@ -130,27 +130,48 @@ class StudentModuleOutcome:
     cswk_mark: float | None
     weighting: AssessmentWeighting
 
-    def __post_init__(self) -> None:
-        if not self.student_id:
+    # Written by hand, since the parser builds one record per transcript
+    # row: the generated frozen __init__ sets each field through
+    # object.__setattr__ and then calls __post_init__.
+    def __init__(
+        self,
+        student_id: str,
+        department: str,
+        year_level: int,
+        module_code: str,
+        module_mark: float,
+        exam_mark: float | None,
+        cswk_mark: float | None,
+        weighting: AssessmentWeighting,
+    ) -> None:
+        if not student_id:
             raise ValueError("student_id must be non-empty")
-        if not self.module_code:
+        if not module_code:
             raise ValueError("module_code must be non-empty")
-        if not isinstance(self.year_level, int) or isinstance(self.year_level, bool):
-            raise ValueError(f"year_level must be an integer, got {self.year_level!r}")
-        if self.year_level < 0:
-            raise ValueError(f"year_level must be >= 0, got {self.year_level}")
-        if not 0.0 <= self.module_mark <= 100.0:
-            raise ValueError(f"module_mark must lie in [0, 100], got {self.module_mark!r}")
-        if self.exam_mark is not None:
-            if self.weighting.exam_weight == 0:
+        if not isinstance(year_level, int) or isinstance(year_level, bool):
+            raise ValueError(f"year_level must be an integer, got {year_level!r}")
+        if year_level < 0:
+            raise ValueError(f"year_level must be >= 0, got {year_level}")
+        if not 0.0 <= module_mark <= 100.0:
+            raise ValueError(f"module_mark must lie in [0, 100], got {module_mark!r}")
+        if exam_mark is not None:
+            if weighting.exam_weight == 0:
                 raise ValueError("exam_mark must be absent when its weight is 0")
-            if not 0.0 <= self.exam_mark <= 100.0:
-                raise ValueError(f"exam_mark must lie in [0, 100], got {self.exam_mark!r}")
-        if self.cswk_mark is not None:
-            if self.weighting.coursework_weight == 0:
+            if not 0.0 <= exam_mark <= 100.0:
+                raise ValueError(f"exam_mark must lie in [0, 100], got {exam_mark!r}")
+        if cswk_mark is not None:
+            if weighting.coursework_weight == 0:
                 raise ValueError("cswk_mark must be absent when its weight is 0")
-            if not 0.0 <= self.cswk_mark <= 100.0:
-                raise ValueError(f"cswk_mark must lie in [0, 100], got {self.cswk_mark!r}")
+            if not 0.0 <= cswk_mark <= 100.0:
+                raise ValueError(f"cswk_mark must lie in [0, 100], got {cswk_mark!r}")
+        _set_student_id(self, student_id)
+        _set_department(self, department)
+        _set_year_level(self, year_level)
+        _set_module_code(self, module_code)
+        _set_module_mark(self, module_mark)
+        _set_exam_mark(self, exam_mark)
+        _set_cswk_mark(self, cswk_mark)
+        _set_weighting(self, weighting)
 
     @property
     def missing_component_fields(self) -> tuple[str, ...]:
@@ -166,6 +187,20 @@ class StudentModuleOutcome:
     def car(self) -> float:
         """The coursework assessment ratio (CAR), coursework weight / 100; defined only here."""
         return self.weighting.coursework_weight / 100
+
+
+# The slot descriptors of the class the decorator returned (slots=True
+# builds a new class); their __set__ bypasses the frozen __setattr__.
+(
+    _set_student_id,
+    _set_department,
+    _set_year_level,
+    _set_module_code,
+    _set_module_mark,
+    _set_exam_mark,
+    _set_cswk_mark,
+    _set_weighting,
+) = (StudentModuleOutcome.__dict__[f.name].__set__ for f in fields(StudentModuleOutcome))
 
 
 @dataclass(frozen=True, slots=True)

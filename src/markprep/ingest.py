@@ -178,19 +178,36 @@ def _reject(
     issues.append(ValidationIssue(row_number, column, category, detail, Severity.REJECT))
 
 
-def _parse_row(
-    row_number: int, row: Sequence[str], issues: list[ValidationIssue]
-) -> StudentModuleOutcome | None:
-    """Validate one data row of the canonical columns; append issues and
-    return the record or None."""
+def _refined_mark_issue(row_number: int, text: str, issues: list[ValidationIssue]) -> None:
+    """Append the reject issue for a refined mark that is not a finite
+    number: unclamped refinement may leave [0, 100]."""
+    try:
+        _parse_mark(text, -math.inf, math.inf)
+    except ValueError as exc:
+        _reject(issues, row_number, REFINED_MARK_COLUMN, str(exc))
+
+
+def _split_weighting(exam_text: str, cswk_text: str) -> AssessmentWeighting | None:
+    """The weighting two weight cells name, or None when they are not two
+    counts summing to 100."""
+    exam_weight = _parse_count(exam_text)
+    cswk_weight = _parse_count(cswk_text)
+    if exam_weight is None or cswk_weight is None or exam_weight + cswk_weight != 100:
+        return None
+    weighting = _WEIGHTINGS.get((exam_weight, cswk_weight))
+    if weighting is None:
+        weighting = _WEIGHTINGS[exam_weight, cswk_weight] = AssessmentWeighting(exam_weight, cswk_weight)
+    return weighting
+
+
+def _row_issues(row_number: int, row: Sequence[str], issues: list[ValidationIssue]) -> None:
+    """Append a reject issue for each fault in one data row of the
+    canonical columns, in column order; the row loop calls this only for
+    rows it turned down."""
     (
         student_id, department, year_text, module_code, module_text,
         exam_text, cswk_text, exam_weight_text, cswk_weight_text,
     ) = row
-    # Only rejects are appended until the record is built, so any issue
-    # past this mark rejects the row.
-    first_issue = len(issues)
-
     if not student_id:
         _reject(issues, row_number, "student_id", "required field is empty")
     if not department:
@@ -198,25 +215,23 @@ def _parse_row(
     if not module_code:
         _reject(issues, row_number, "module_code", "required field is empty")
 
-    year_level = _parse_count(year_text)
-    if year_level is None:
+    if _parse_count(year_text) is None:
         _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
 
     try:
-        module_mark = _parse_mark(module_text)
+        _parse_mark(module_text)
     except ValueError as exc:
         _reject(issues, row_number, "module_mark", str(exc))
 
     # a blank component mark is missing, not malformed
-    exam_mark = cswk_mark = None
     if exam_text:
         try:
-            exam_mark = _parse_mark(exam_text)
+            _parse_mark(exam_text)
         except ValueError as exc:
             _reject(issues, row_number, "exam_mark", str(exc))
     if cswk_text:
         try:
-            cswk_mark = _parse_mark(cswk_text)
+            _parse_mark(cswk_text)
         except ValueError as exc:
             _reject(issues, row_number, "cswk_mark", str(exc))
 
@@ -242,58 +257,17 @@ def _parse_row(
             if cswk_weight == 0 and cswk_text:
                 _reject(issues, row_number, "cswk_mark", zero_weight, IssueCategory.MEASUREMENT)
 
-    if len(issues) > first_issue:
-        return None
-
-    weighting = _WEIGHTINGS.get((exam_weight, cswk_weight))
-    if weighting is None:
-        weighting = _WEIGHTINGS[exam_weight, cswk_weight] = AssessmentWeighting(exam_weight, cswk_weight)
-    record = StudentModuleOutcome(
-        student_id=student_id,
-        department=department,
-        year_level=year_level,
-        module_code=module_code,
-        module_mark=module_mark,
-        exam_mark=exam_mark,
-        cswk_mark=cswk_mark,
-        weighting=weighting,
-    )
-
-    # Recombination check: if every weighted component mark is present, the
-    # weighted mean should reproduce the stored module mark.  A zero-weight
-    # component has no mark by now, so the marks present are the weighted
-    # ones.
-    if (exam_mark is not None or not exam_weight) and (cswk_mark is not None or not cswk_weight):
-        combined = 0  # an int start, like sum(): -0.0 parts give 0.0
-        if exam_mark is not None:
-            combined += exam_weight * exam_mark
-        if cswk_mark is not None:
-            combined += cswk_weight * cswk_mark
-        combined /= 100.0
-        if abs(combined - module_mark) > RECOMBINATION_TOLERANCE:
-            detail = f"weighted components give {combined:.2f}, module mark is {module_mark:g}"
-            issues.append(
-                ValidationIssue(row_number, "module_mark", IssueCategory.DISTILLATION, detail, Severity.WARN)
-            )
-    return record
-
-
-def _parse_refined_mark(
-    row_number: int, text: str, issues: list[ValidationIssue]
-) -> float | None:
-    """Any finite number: unclamped refinement may leave [0, 100]."""
-    try:
-        return _parse_mark(text, -math.inf, math.inf)
-    except ValueError as exc:
-        _reject(issues, row_number, REFINED_MARK_COLUMN, str(exc))
-        return None
-
 
 def _parse_transcript(
     source: str | Path | IO, refined: bool | None
 ) -> tuple[list[StudentModuleOutcome], list[float], IngestReport]:
     """The row loop of both schemas; the refined marks stay empty unless
-    ``refined``, and None picks the schema from the header."""
+    ``refined``, and None picks the schema from the header.
+
+    Each row is checked inline, the one place a record is built from CSV
+    cells; a row turned down goes to ``_row_issues`` (its refined mark to
+    ``_refined_mark_issue``), which write the reject messages.
+    """
     reader = csv.reader(io.StringIO(_read_text(source), newline=""))
     header = next(reader, None)
     if refined is None:
@@ -301,19 +275,80 @@ def _parse_transcript(
     columns = TRANSCRIPT_COLUMNS + ((REFINED_MARK_COLUMN,) if refined else ())
     _check_header(header, columns)
 
+    width = len(columns)
+    fullmatch = _MARK_GRAMMAR.fullmatch
+    isfinite = math.isfinite
+    # The weight cells of a file repeat a few splits, so each pair of cell
+    # texts is checked once per parse.
+    weightings: dict[tuple[str, str], AssessmentWeighting] = {}
     records: list[StudentModuleOutcome] = []
     refined_marks: list[float] = []
     issues: list[ValidationIssue] = []
     row_number = 0  # ends as the count of data rows
     for row_number, row in enumerate(reader, start=1):
-        if len(row) != len(columns):
-            _reject(issues, row_number, "row", f"expected {len(columns)} fields, got {len(row)}")
+        if len(row) != width:
+            _reject(issues, row_number, "row", f"expected {width} fields, got {len(row)}")
             continue
-        refined_mark = _parse_refined_mark(row_number, row.pop(), issues) if refined else None
-        record = _parse_row(row_number, row, issues)
-        if record is None or (refined and refined_mark is None):
+        refined_ok = True
+        if refined:
+            refined_text = row.pop()
+            if not (fullmatch(refined_text) and isfinite(refined_mark := float(refined_text))):
+                _refined_mark_issue(row_number, refined_text, issues)
+                refined_ok = False
+        (
+            student_id, department, year_text, module_code, module_text,
+            exam_text, cswk_text, exam_weight_text, cswk_weight_text,
+        ) = row
+        weighting = weightings.get((exam_weight_text, cswk_weight_text))
+        if weighting is None:
+            weighting = _split_weighting(exam_weight_text, cswk_weight_text)
+            if weighting is not None:
+                weightings[exam_weight_text, cswk_weight_text] = weighting
+        # A blank component mark is missing; a mark on a zero-weight
+        # component rejects the row.
+        exam_mark = cswk_mark = None
+        if not (
+            student_id and department and module_code
+            and year_text.isdecimal() and year_text.isascii()
+            and weighting is not None
+            and fullmatch(module_text) and 0.0 <= (module_mark := float(module_text)) <= 100.0
+            and (not exam_text or (
+                weighting.exam_weight
+                and fullmatch(exam_text) and 0.0 <= (exam_mark := float(exam_text)) <= 100.0
+            ))
+            and (not cswk_text or (
+                weighting.coursework_weight
+                and fullmatch(cswk_text) and 0.0 <= (cswk_mark := float(cswk_text)) <= 100.0
+            ))
+        ):
+            _row_issues(row_number, row, issues)
             continue
-        records.append(record)
+        # Recombination check: if every weighted component mark is present,
+        # the weighted mean should reproduce the stored module mark.  A
+        # zero-weight component has no mark by now, so the marks present are
+        # the weighted ones.  A row rejected only for its refined mark is
+        # still checked.
+        exam_weight = weighting.exam_weight
+        cswk_weight = weighting.coursework_weight
+        if (exam_mark is not None or not exam_weight) and (cswk_mark is not None or not cswk_weight):
+            combined = 0  # an int start, like sum(): -0.0 parts give 0.0
+            if exam_mark is not None:
+                combined += exam_weight * exam_mark
+            if cswk_mark is not None:
+                combined += cswk_weight * cswk_mark
+            combined /= 100.0
+            if abs(combined - module_mark) > RECOMBINATION_TOLERANCE:
+                detail = f"weighted components give {combined:.2f}, module mark is {module_mark:g}"
+                issues.append(
+                    ValidationIssue(row_number, "module_mark", IssueCategory.DISTILLATION, detail, Severity.WARN)
+                )
+        if not refined_ok:
+            continue
+        records.append(
+            StudentModuleOutcome(
+                student_id, department, int(year_text), module_code, module_mark, exam_mark, cswk_mark, weighting
+            )
+        )
         if refined:
             refined_marks.append(refined_mark)
     return records, refined_marks, IngestReport(len(records), row_number - len(records), tuple(issues))
@@ -413,15 +448,17 @@ def deduplicate(
     """
     records = list(records)
     rows = _row_numbers(records, row_numbers)
-    by_key: dict[tuple[str, str, int], list[int]] = {}
+    # A key's first index, and the indexes of every key seen more than
+    # once, under its first index.
+    first: dict[tuple[str, str, int], int] = {}
+    repeated: dict[int, list[int]] = {}
     for index, record in enumerate(records):
-        key = (record.student_id, record.module_code, record.year_level)
-        by_key.setdefault(key, []).append(index)
+        seen = first.setdefault((record.student_id, record.module_code, record.year_level), index)
+        if seen != index:
+            repeated.setdefault(seen, [seen]).append(index)
 
     drop: dict[int, ValidationIssue] = {}
-    for key, indexes in by_key.items():
-        if len(indexes) == 1:
-            continue
+    for indexes in repeated.values():
         group = [records[i] for i in indexes]
         if all(record == group[0] for record in group):
             for i in indexes[1:]:
@@ -433,13 +470,14 @@ def deduplicate(
                     Severity.WARN,
                 )
         else:
+            copy = group[0]
             for i in indexes:
                 drop[i] = ValidationIssue(
                     rows[i],
                     "row",
                     IssueCategory.DATA_INTEGRATION,
-                    f"conflicting duplicates for student {key[0]!r}, "
-                    f"module {key[1]!r}, year {key[2]}",
+                    f"conflicting duplicates for student {copy.student_id!r}, "
+                    f"module {copy.module_code!r}, year {copy.year_level}",
                     Severity.REJECT,
                 )
 
@@ -477,8 +515,8 @@ def write_transcript_csv(
     def emit(stream: IO[str]) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        for index, record in enumerate(records):
-            row = [
+        rows = (
+            [
                 record.student_id,
                 record.department,
                 str(record.year_level),
@@ -489,9 +527,11 @@ def write_transcript_csv(
                 str(record.weighting.exam_weight),
                 str(record.weighting.coursework_weight),
             ]
-            if refined_marks is not None:
-                row.append(_format_mark(refined_marks[index]))
-            writer.writerow(row)
+            for record in records
+        )
+        if refined_marks is not None:
+            rows = (row + [_format_mark(mark)] for row, mark in zip(rows, refined_marks))
+        writer.writerows(rows)
 
     if hasattr(dest, "write"):
         emit(dest)

@@ -211,14 +211,14 @@ def generate_cohort(spec: CohortSpec) -> list[StudentModuleOutcome]:
                     exam, cswk = _split_components(mark, weighting, module_rng.random())
                     records.append(
                         StudentModuleOutcome(
-                            student_id=student_id,
-                            department=dept.code,
-                            year_level=year,
-                            module_code=f"{dept.code}-Y{year}-M{module_index:02d}",
-                            module_mark=mark,
-                            exam_mark=exam,
-                            cswk_mark=cswk,
-                            weighting=weighting,
+                            student_id,
+                            dept.code,
+                            year,
+                            f"{dept.code}-Y{year}-M{module_index:02d}",
+                            mark,
+                            exam,
+                            cswk,
+                            weighting,
                         )
                     )
     return records

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -450,11 +452,52 @@ def test_output_flag_writes_file_instead_of_stdout(cohort: Path, tmp_path: Path)
 def test_unwritable_output_is_usage_error(cohort: Path, tmp_path: Path, args, label: str) -> None:
     missing = tmp_path / "no-such-dir"
     paths = {"missing": missing, "tmp": tmp_path, "cohort": cohort}
+    before = sorted(tmp_path.iterdir())
     output = run(*[arg.format(**paths) for arg in args], expect=2)
     target = next(arg.format(**paths) for arg in args if arg.startswith("{missing}"))
     assert f"cannot write {label} {target}: No such file or directory" in output
     assert "Traceback" not in output
-    assert not missing.exists()
+    # an output written before the failing one is not left behind either
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("generate", "--out", "{out}", "--spec-out", "{second}"),
+        ("refine", "{cohort}", "--out", "{out}", "--model-out", "{second}"),
+    ],
+    ids=["generate", "refine"],
+)
+def test_failed_output_keeps_existing_file(cohort: Path, tmp_path: Path, args) -> None:
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier bytes\n")
+    paths = {"cohort": cohort, "out": out, "second": tmp_path / "no-such-dir" / "second.json"}
+    run(*[arg.format(**paths) for arg in args], expect=2)
+    assert out.read_bytes() == b"earlier bytes\n"
+    # once every output can be written, both are replaced, with the mode
+    # a newly created file gets
+    paths["second"] = tmp_path / "second.json"
+    run(*[arg.format(**paths) for arg in args])
+    assert out.read_bytes().startswith(b"student_id,")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(paths["second"].stat().st_mode) == 0o666 & ~umask
+    assert not [path for path in tmp_path.iterdir() if path.name.startswith(".")]
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "refine", "evaluate", "report"])
+def test_non_utf8_input_is_usage_error(cohort: Path, refined: Path, tmp_path: Path, command: str) -> None:
+    if command == "report":
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"model_kind": "quadratic\xff"}')
+    else:
+        header, first, rest = (refined if command == "evaluate" else cohort).read_bytes().split(b"\n", 2)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join([header, b"\xff" + first, rest]))
+    output = run(command, str(path), expect=2)
+    assert f"cannot read {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff" in output
+    assert "Traceback" not in output
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Domain types: weightings, ratios, banding."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from markprep import (
@@ -92,6 +94,27 @@ def test_outcome_range_checks() -> None:
     with pytest.raises(ValueError):
         make_outcome(year_level=-1)
     make_outcome(year_level=0)  # preparatory year is legitimate
+
+
+def test_outcome_constructor_behaves_as_a_frozen_dataclass() -> None:
+    # the hand-written __init__ keeps what the generated one gave
+    weighting = AssessmentWeighting(50, 50)
+    positional = StudentModuleOutcome("S1", "CS", 1, "M1", 60.0, 58.0, 62.0, weighting)
+    keyword = make_outcome()
+    assert positional == keyword
+    assert hash(positional) == hash(keyword)
+    assert repr(positional) == repr(keyword)
+    assert [f.name for f in dataclasses.fields(StudentModuleOutcome)] == [
+        "student_id", "department", "year_level", "module_code",
+        "module_mark", "exam_mark", "cswk_mark", "weighting",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        positional.module_mark = 70.0  # type: ignore[misc]
+    assert dataclasses.replace(positional, module_mark=61.0).module_mark == 61.0
+    with pytest.raises(ValueError, match="module_mark must lie in"):
+        dataclasses.replace(positional, module_mark=101)
+    with pytest.raises(ValueError, match="year_level must be an integer"):
+        make_outcome(year_level=True)  # type: ignore[arg-type]
 
 
 def test_compute_car_is_coursework_share() -> None:

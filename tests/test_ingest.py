@@ -1,8 +1,10 @@
 """CSV parsing, validation taxonomy, dedupe, missing-mark policy."""
 from __future__ import annotations
 
+import csv
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,11 @@ from markprep import (
     RECOMBINATION_TOLERANCE,
     REFINED_MARK_COLUMN,
     TRANSCRIPT_COLUMNS,
+    AssessmentWeighting,
     IssueCategory,
     MissingPolicy,
     Severity,
+    StudentModuleOutcome,
     TranscriptSchemaError,
     apply_missing_policy,
     deduplicate,
@@ -21,6 +25,7 @@ from markprep import (
     parse_transcript_csv,
     write_transcript_csv,
 )
+from markprep.ingest import _refined_mark_issue, _row_issues
 from test_core import make_outcome
 
 HEADER = ",".join(TRANSCRIPT_COLUMNS)
@@ -200,6 +205,22 @@ def test_deduplicate_rejects_conflicting_copies() -> None:
     assert all(i.severity is Severity.REJECT for i in report.issues)
 
 
+def test_deduplicate_orders_issues_by_row() -> None:
+    # the key with three copies repeats first after another key does
+    record = make_outcome()
+    other = make_outcome(module_code="M2")
+    conflict = make_outcome(module_code="M2", mark=65.0, exam_mark=63.0, cswk_mark=67.0)
+    third = make_outcome(module_code="M3")
+    kept, report = deduplicate([record, other, third, conflict, record, record])
+    assert kept == [record, third]
+    assert [(i.row_number, i.severity, i.detail) for i in report.issues] == [
+        (2, Severity.REJECT, "conflicting duplicates for student 'S1', module 'M2', year 1"),
+        (4, Severity.REJECT, "conflicting duplicates for student 'S1', module 'M2', year 1"),
+        (5, Severity.WARN, "exact duplicate of record 1 collapsed"),
+        (6, Severity.WARN, "exact duplicate of record 1 collapsed"),
+    ]
+
+
 def test_deduplicate_key_includes_year() -> None:
     # same module retaken in a later year is two legitimate records
     kept, _ = deduplicate([make_outcome(year_level=1), make_outcome(year_level=2)])
@@ -344,3 +365,57 @@ def test_error_grid_matches_recorded_behaviour(schema: str) -> None:
         return [json.dumps(item) for item in value] if isinstance(value, list) else value
 
     assert {k: lines(v) for k, v in got.items()} == {k: lines(v) for k, v in expected.items()}
+
+
+# Cells that only one of the parser's checks turns down, or that look
+# malformed and are not: a non-ASCII digit, a mark that overflows to inf,
+# a negative zero, a leading zero and a point with digits on one side only.
+FUZZ_VALUES = GRID_VALUES + ("\u0663", "1e999", "-0", "050", "5.", ".5")
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["canonical", "refined"])
+def test_inline_accept_matches_explain_path(refined: bool) -> None:
+    # A row is accepted exactly when the explain functions find no fault,
+    # and the record equals the one the public constructor builds.
+    rng = random.Random(14)
+    base = GRID_BASE + ((GRID_REFINED_MARK,) if refined else ())
+    rows = []
+    for _ in range(3000):
+        row = list(base)
+        for column in rng.sample(range(len(base)), rng.choice((1, 2))):
+            row[column] = rng.choice(FUZZ_VALUES)
+        rows.append(row)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(TRANSCRIPT_COLUMNS + ((REFINED_MARK_COLUMN,) if refined else ()))
+    writer.writerows(rows)
+    text.seek(0)
+    if refined:
+        records, marks, report = parse_refined_transcript_csv(text)
+    else:
+        (records, report), marks = parse_transcript_csv(text), None
+    rejects: dict[int, list] = {}
+    for issue in report.reject_issues:
+        rejects.setdefault(issue.row_number, []).append(issue)
+
+    accepted = iter(zip(records, marks or records))
+    for row_number, row in enumerate(rows, start=1):
+        explained: list = []
+        cells = list(row)
+        if refined:
+            _refined_mark_issue(row_number, cells.pop(), explained)
+        _row_issues(row_number, cells, explained)
+        assert rejects.get(row_number, []) == explained, row
+        if explained:
+            continue
+        record, mark = next(accepted)
+        fields = (
+            cells[0], cells[1], int(cells[2]), cells[3], float(cells[4]),
+            float(cells[5]) if cells[5] else None, float(cells[6]) if cells[6] else None,
+            AssessmentWeighting(int(cells[7]), int(cells[8])),
+        )
+        assert record == StudentModuleOutcome(*fields)
+        if refined:
+            assert mark == float(row[-1])
+    assert next(accepted, None) is None
+    assert 0 < report.accepted_count < len(rows)
