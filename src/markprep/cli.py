@@ -688,12 +688,6 @@ def refine(
     out_path = Path(out) if out else Path(input_csv).with_suffix(".refined.csv")
     model_path = Path(model_out) if model_out else Path(input_csv).with_suffix(".model.json")
     models = result.department_models if result.department_models is not None else result.model
-    with _output_files() as stage:
-        with stage(out_path, "refined CSV") as stream:
-            write_transcript_csv(result.records, stream, refined_marks=result.refined_marks)
-        with stage(model_path, "model") as stream:
-            stream.write(_json_text(models_to_json(models)))
-
     if format == "json":
         text = _json_text(_refine_report_json(result))
     elif format == "csv":
@@ -703,7 +697,14 @@ def refine(
         lines.append(f"wrote {len(result.records)} refined records to {out_path}")
         lines.append(f"wrote model to {model_path}")
         text = "\n".join(lines) + "\n"
-    _emit(text, output)
+    with _output_files() as stage:
+        with stage(out_path, "refined CSV") as stream:
+            write_transcript_csv(result.records, stream, refined_marks=result.refined_marks)
+        with stage(model_path, "model") as stream:
+            stream.write(_json_text(models_to_json(models)))
+        # inside the block, so that a report path that cannot be written
+        # leaves neither file behind
+        _emit(text, output)
 
 
 def _parse_predictor_years(ctx: click.Context, value: str, target_year: int) -> tuple[int, ...]:

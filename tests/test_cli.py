@@ -444,10 +444,11 @@ def test_output_flag_writes_file_instead_of_stdout(cohort: Path, tmp_path: Path)
         (("stats", "{cohort}", "--output", "{missing}/r.txt"), "report"),
         (("refine", "{cohort}", "--out", "{missing}/r.csv"), "refined CSV"),
         (("refine", "{cohort}", "--out", "{tmp}/r.csv", "--model-out", "{missing}/m.json"), "model"),
+        (("refine", "{cohort}", "--out", "{tmp}/r.csv", "--output", "{missing}/r.txt"), "report"),
         (("evaluate", "--from-fixture", "--output", "{missing}/r.txt"), "report"),
     ],
     ids=["generate-out", "generate-spec-out", "validate-output", "stats-output", "refine-out",
-         "refine-model-out", "evaluate-output"],
+         "refine-model-out", "refine-output", "evaluate-output"],
 )
 def test_unwritable_output_is_usage_error(cohort: Path, tmp_path: Path, args, label: str) -> None:
     missing = tmp_path / "no-such-dir"

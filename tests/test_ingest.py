@@ -378,11 +378,14 @@ def test_inline_accept_matches_explain_path(refined: bool) -> None:
     # A row is accepted exactly when the explain functions find no fault,
     # and the record equals the one the public constructor builds.
     rng = random.Random(14)
-    base = GRID_BASE + ((GRID_REFINED_MARK,) if refined else ())
+    extra = (GRID_REFINED_MARK,) if refined else ()
+    # a mixed row, and an exam-only and a coursework-only one whose blank
+    # mark cell may be given a mark on its zero-weight component
+    bases = [GRID_BASE + extra, GRID_CASES[6] + extra, GRID_CASES[7] + extra]
     rows = []
     for _ in range(3000):
-        row = list(base)
-        for column in rng.sample(range(len(base)), rng.choice((1, 2))):
+        row = list(rng.choice(bases))
+        for column in rng.sample(range(len(row)), rng.choice((1, 2))):
             row[column] = rng.choice(FUZZ_VALUES)
         rows.append(row)
     text = io.StringIO()
