@@ -19,6 +19,7 @@ _EXPORTS = {
     "BandingScheme": "core",
     "DegreeBand": "core",
     "StudentModuleOutcome": "core",
+    "render_confusion_text": "core",
     "CAR_COLUMN": "evaluation",
     "DEFAULT_TEST_FRACTION": "fixtures",
     "ComparisonResult": "evaluation",
@@ -31,7 +32,6 @@ _EXPORTS = {
     "compare_with_without_car": "evaluation",
     "confusion_matrix": "evaluation",
     "evaluate_forest": "evaluation",
-    "render_confusion_text": "evaluation",
     "render_report_text": "evaluation",
     "FeatureRow": "forest",
     "FeatureTable": "forest",

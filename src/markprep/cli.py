@@ -12,13 +12,15 @@ same validation as typed flags.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import tempfile
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, ContextManager, Iterator, NoReturn
+from typing import IO, TYPE_CHECKING, Callable, ContextManager, Iterable, Iterator, NoReturn, Sequence
 
 import click
 
@@ -34,6 +36,7 @@ from .core import (
     read_number,
     read_string,
     render_aligned_table,
+    render_confusion_text,
 )
 from .fixtures import (
     CONFUSION_WITH_CAR,
@@ -237,6 +240,14 @@ def _emit(text: str, output_path: str | None) -> None:
 
 def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """Rows as CSV lines ending in "\n"; a cell is quoted only when it
+    holds a comma, a quote or a line break, as a department name may."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _read_records(path: str, parse=parse_transcript_csv, warn_rejects: bool = True) -> tuple:
@@ -503,9 +514,9 @@ def _stats_text(table, tests: dict[str, TTestResult | None]) -> str:
 
 
 def _stats_csv(table, tests: dict[str, TTestResult | None]) -> str:
-    lines = [
-        "department,exam_mean,exam_count,coursework_mean,coursework_count,mixed_mean,mixed_count"
-    ]
+    means = [[
+        "department", "exam_mean", "exam_count", "coursework_mean", "coursework_count", "mixed_mean", "mixed_count",
+    ]]
     for department in sorted(table):
         cells = [department]
         for method in _METHOD_ORDER:
@@ -514,19 +525,17 @@ def _stats_csv(table, tests: dict[str, TTestResult | None]) -> str:
                 cells.extend(["", ""])
             else:
                 cells.extend([repr(summary.mean), str(summary.count)])
-        lines.append(",".join(cells))
-    lines.append("")
-    lines.append("comparison,t,df,p,variant,n_a,n_b")
+        means.append(cells)
+    comparisons = [["comparison", "t", "df", "p", "variant", "n_a", "n_b"]]
     for name, result in tests.items():
         if result is None:
-            lines.append(f"{name},not applicable,,,,,")
+            comparisons.append([name, "not applicable", "", "", "", "", ""])
         else:
-            lines.append(
-                f"{name},{result.t_statistic!r},{result.degrees_of_freedom!r},"
-                f"{result.p_value_two_sided!r},{result.variant.value},"
-                f"{result.n_a},{result.n_b}"
-            )
-    return "\n".join(lines) + "\n"
+            comparisons.append([
+                name, repr(result.t_statistic), repr(result.degrees_of_freedom),
+                repr(result.p_value_two_sided), result.variant.value, str(result.n_a), str(result.n_b),
+            ])
+    return _csv_text(means) + "\n" + _csv_text(comparisons)
 
 
 @main.command()
@@ -596,15 +605,14 @@ def _model_lines(result: RefinementResult) -> list[str]:
 
 
 def _models_csv(models: SavedModels) -> str:
-    lines = ["scope,model_kind,b0,b1,b2,r_squared,n_observations"]
+    rows = [["scope", "model_kind", "b0", "b1", "b2", "r_squared", "n_observations"]]
     scoped = sorted(models.items()) if isinstance(models, dict) else [("pooled", models)]
     for scope, model in scoped:
-        lines.append(
-            f"{scope},{model.model_kind.value},{model.intercept!r},"
-            f"{model.linear!r},{model.quadratic!r},{model.r_squared!r},"
-            f"{model.n_observations}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append([
+            scope, model.model_kind.value, repr(model.intercept), repr(model.linear),
+            repr(model.quadratic), repr(model.r_squared), str(model.n_observations),
+        ])
+    return _csv_text(rows)
 
 
 def _models_text(models: SavedModels) -> str:
@@ -740,8 +748,6 @@ def _parse_banding(value: object) -> BandingScheme:
 
 
 def _fixture_text(without: PublishedConfusionTable, with_car: PublishedConfusionTable) -> str:
-    from .evaluation import render_confusion_text
-
     blocks = []
     for title, table in (
         ("without ratio attribute", without),
@@ -850,10 +856,9 @@ def evaluate(
 
     INPUT_CSV must be a refined transcript (the output of `refine`).
     """
-    from .evaluation import build_feature_table, compare_with_without_car
-    from .forest import ForestParams
-
     if from_fixture:
+        if input_csv is not None:
+            _usage_error("--from-fixture prints the published tables and takes no INPUT_CSV")
         if format == "csv":
             _usage_error("--from-fixture prints text or json, not csv")
         if format == "json":
@@ -865,6 +870,9 @@ def evaluate(
 
     if input_csv is None:
         _usage_error("INPUT_CSV is required unless --from-fixture is given")
+    from .evaluation import build_feature_table, compare_with_without_car
+    from .forest import ForestParams
+
     records, refined_marks, _report = _read_records(input_csv, parse_refined_transcript_csv)
     if not records:
         _data_error(f"no valid records in {input_csv}")
@@ -910,8 +918,9 @@ def evaluate(
 
 
 def _render_saved_report(path: str, data: dict, format: str) -> str:
-    """Parse a saved `evaluate` or `refine` JSON, then render it like the
-    command that wrote it; a document that does not parse is a usage error."""
+    """Parse an `evaluate` JSON report or a `refine` model file, then
+    render it like the command that wrote it; a document that does not
+    parse is a usage error."""
     from .evaluation import ComparisonResult
     from .refine import models_from_json, models_to_json
 
@@ -922,7 +931,7 @@ def _render_saved_report(path: str, data: dict, format: str) -> str:
     except ValueError as exc:
         _usage_error(f"saved {kind} {path} is malformed: {exc}")
     if saved is None:
-        _usage_error("unrecognized report JSON; expected evaluate or refine output")
+        _usage_error("unrecognized report JSON; expected an `evaluate --format json` report or a `refine` model file")
     if is_comparison:
         return _comparison_report(saved, format)
     if format == "json":
@@ -938,8 +947,8 @@ def _render_saved_report(path: str, data: dict, format: str) -> str:
 @_format_option
 @_output_option
 def report(input_json: str, format: str, output: str | None) -> None:
-    """Re-render a saved JSON report (from `evaluate` or `refine`) as
-    text or CSV without recomputing anything."""
+    """Re-render an `evaluate --format json` report or a `refine` model
+    file (its --model-out) without recomputing anything."""
     data = _read_json_object(input_json, input_json)
     _emit(_render_saved_report(input_json, data, format), output)
 

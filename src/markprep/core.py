@@ -244,6 +244,17 @@ class BandingScheme:
         return chosen
 
 
+# Axis order used by the published confusion matrices (both axes).
+PUBLISHED_CLASS_ORDER: tuple[DegreeBand, ...] = (
+    DegreeBand.FAIL,
+    DegreeBand.FIRST,
+    DegreeBand.LOWER_SECOND,
+    DegreeBand.PASS,
+    DegreeBand.THIRD,
+    DegreeBand.UPPER_SECOND,
+)
+
+
 DEFAULT_BANDING = BandingScheme(
     (
         (0.0, DegreeBand.FAIL),
@@ -264,3 +275,32 @@ def render_aligned_table(rows: Sequence[Sequence[str]]) -> str:
         "  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]).rstrip()
         for row in rows
     )
+
+
+def render_confusion_text(
+    cells: Sequence[Sequence[int]],
+    class_order: Sequence[DegreeBand] = PUBLISHED_CLASS_ORDER,
+    row_totals: Sequence[int] | None = None,
+    column_totals: Sequence[int] | None = None,
+    grand_total: int | None = None,
+) -> str:
+    """Aligned text table in the published layout (true class per row).
+
+    Margins default to the cell sums; the published fixtures pass their
+    stated margins instead, which differ from the sums for one table.
+    """
+    if row_totals is None:
+        row_totals = [sum(row) for row in cells]
+    if column_totals is None:
+        column_totals = [sum(col) for col in zip(*cells)]
+    if grand_total is None:
+        grand_total = sum(row_totals)
+
+    labels = [band.label for band in class_order]
+    header = ["Correct class", *labels, "Total"]
+    body = [
+        [labels[i], *[str(c) for c in cells[i]], str(row_totals[i])]
+        for i in range(len(class_order))
+    ]
+    footer = ["Total", *[str(c) for c in column_totals], str(grand_total)]
+    return render_aligned_table([header, *body, footer])

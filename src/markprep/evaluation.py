@@ -13,12 +13,18 @@ import numpy as np
 
 from .core import (
     DEFAULT_BANDING,
+    PUBLISHED_CLASS_ORDER,
     BandingScheme,
     DegreeBand,
     StudentModuleOutcome,
+    read_count,
+    read_fields,
+    read_list,
+    read_number,
+    read_string,
+    render_confusion_text,
 )
-from .core import read_count, read_fields, read_list, read_number, read_string, render_aligned_table
-from .fixtures import DEFAULT_TEST_FRACTION, PUBLISHED_CLASS_ORDER
+from .fixtures import DEFAULT_TEST_FRACTION
 from .forest import (
     FeatureRow,
     FeatureTable,
@@ -373,35 +379,6 @@ def compare_with_without_car(
     report_without = evaluate_forest(model_without, masked_test, average)
 
     return ComparisonResult(with_car=report_with, without_car=report_without)
-
-
-def render_confusion_text(
-    cells: Sequence[Sequence[int]],
-    class_order: Sequence[DegreeBand] = PUBLISHED_CLASS_ORDER,
-    row_totals: Sequence[int] | None = None,
-    column_totals: Sequence[int] | None = None,
-    grand_total: int | None = None,
-) -> str:
-    """Aligned text table in the published layout (true class per row).
-
-    Margins default to the cell sums; the published fixtures pass their
-    stated margins instead, which differ from the sums for one table.
-    """
-    if row_totals is None:
-        row_totals = [sum(row) for row in cells]
-    if column_totals is None:
-        column_totals = [sum(col) for col in zip(*cells)]
-    if grand_total is None:
-        grand_total = sum(row_totals)
-
-    labels = [band.label for band in class_order]
-    header = ["Correct class", *labels, "Total"]
-    body = [
-        [labels[i], *[str(c) for c in cells[i]], str(row_totals[i])]
-        for i in range(len(class_order))
-    ]
-    footer = ["Total", *[str(c) for c in column_totals], str(grand_total)]
-    return render_aligned_table([header, *body, footer])
 
 
 def render_report_text(report: EvaluationReport) -> str:

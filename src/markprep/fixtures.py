@@ -17,17 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DegreeBand
-
-# Axis order used by the published confusion matrices (both axes).
-PUBLISHED_CLASS_ORDER: tuple[DegreeBand, ...] = (
-    DegreeBand.FAIL,
-    DegreeBand.FIRST,
-    DegreeBand.LOWER_SECOND,
-    DegreeBand.PASS,
-    DegreeBand.THIRD,
-    DegreeBand.UPPER_SECOND,
-)
+from .core import PUBLISHED_CLASS_ORDER, DegreeBand
 
 
 @dataclass(frozen=True, slots=True)

@@ -135,15 +135,19 @@ def _read_text(source: str | Path | IO) -> str:
 _MARK_GRAMMAR = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 
 
-def _parse_mark(text: str, low: float = 0.0, high: float = 100.0) -> float:
-    value = float(text)
+def _mark_fault(text: str, low: float = 0.0, high: float = 100.0) -> str:
+    """The reject message for a mark cell that failed the row pass's check:
+    float()'s own error, else not finite, else outside [low, high].  A cell
+    that passes all three failed the grammar, so that reason needs no test."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        return str(exc)
     if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
+        return f"not a finite number: {text!r}"
     if not low <= value <= high:
-        raise ValueError(f"out of range [{low:g}, {high:g}]: {text!r}")
-    if not _MARK_GRAMMAR.fullmatch(text):
-        raise ValueError(f"not a plain decimal number: {text!r}")
-    return value
+        return f"out of range [{low:g}, {high:g}]: {text!r}"
+    return f"not a plain decimal number: {text!r}"
 
 
 def _check_header(header: Sequence[str] | None, expected: Sequence[str]) -> None:
@@ -162,12 +166,6 @@ def _check_header(header: Sequence[str] | None, expected: Sequence[str]) -> None
 _WEIGHTINGS: dict[tuple[int, int], AssessmentWeighting] = {}
 
 
-def _parse_count(text: str) -> int | None:
-    """A non-negative integer in ASCII digits, or None when ``text`` is not
-    one."""
-    return int(text) if text.isdecimal() and text.isascii() else None
-
-
 def _reject(
     issues: list[ValidationIssue],
     row_number: int,
@@ -178,95 +176,15 @@ def _reject(
     issues.append(ValidationIssue(row_number, column, category, detail, Severity.REJECT))
 
 
-def _refined_mark_issue(row_number: int, text: str, issues: list[ValidationIssue]) -> None:
-    """Append the reject issue for a refined mark that is not a finite
-    number: unclamped refinement may leave [0, 100]."""
-    try:
-        _parse_mark(text, -math.inf, math.inf)
-    except ValueError as exc:
-        _reject(issues, row_number, REFINED_MARK_COLUMN, str(exc))
-
-
-def _split_weighting(exam_text: str, cswk_text: str) -> AssessmentWeighting | None:
-    """The weighting two weight cells name, or None when they are not two
-    counts summing to 100."""
-    exam_weight = _parse_count(exam_text)
-    cswk_weight = _parse_count(cswk_text)
-    if exam_weight is None or cswk_weight is None or exam_weight + cswk_weight != 100:
-        return None
-    weighting = _WEIGHTINGS.get((exam_weight, cswk_weight))
-    if weighting is None:
-        weighting = _WEIGHTINGS[exam_weight, cswk_weight] = AssessmentWeighting(exam_weight, cswk_weight)
-    return weighting
-
-
-def _row_issues(row_number: int, row: Sequence[str], issues: list[ValidationIssue]) -> None:
-    """Append a reject issue for each fault in one data row of the
-    canonical columns, in column order; the row loop calls this only for
-    rows it turned down."""
-    (
-        student_id, department, year_text, module_code, module_text,
-        exam_text, cswk_text, exam_weight_text, cswk_weight_text,
-    ) = row
-    if not student_id:
-        _reject(issues, row_number, "student_id", "required field is empty")
-    if not department:
-        _reject(issues, row_number, "department", "required field is empty")
-    if not module_code:
-        _reject(issues, row_number, "module_code", "required field is empty")
-
-    if _parse_count(year_text) is None:
-        _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
-
-    try:
-        _parse_mark(module_text)
-    except ValueError as exc:
-        _reject(issues, row_number, "module_mark", str(exc))
-
-    # a blank component mark is missing, not malformed
-    if exam_text:
-        try:
-            _parse_mark(exam_text)
-        except ValueError as exc:
-            _reject(issues, row_number, "exam_mark", str(exc))
-    if cswk_text:
-        try:
-            _parse_mark(cswk_text)
-        except ValueError as exc:
-            _reject(issues, row_number, "cswk_mark", str(exc))
-
-    exam_weight = _parse_count(exam_weight_text)
-    if exam_weight is None:
-        _reject(
-            issues, row_number, "exam_weight", f"must be a non-negative integer, got {exam_weight_text!r}"
-        )
-    cswk_weight = _parse_count(cswk_weight_text)
-    if cswk_weight is None:
-        _reject(
-            issues, row_number, "cswk_weight", f"must be a non-negative integer, got {cswk_weight_text!r}"
-        )
-    if exam_weight is not None and cswk_weight is not None:
-        if exam_weight + cswk_weight != 100:
-            _reject(
-                issues, row_number, "cswk_weight", f"weights sum to {exam_weight + cswk_weight}, not 100"
-            )
-        else:
-            zero_weight = "mark recorded for a component with zero weight"
-            if exam_weight == 0 and exam_text:
-                _reject(issues, row_number, "exam_mark", zero_weight, IssueCategory.MEASUREMENT)
-            if cswk_weight == 0 and cswk_text:
-                _reject(issues, row_number, "cswk_mark", zero_weight, IssueCategory.MEASUREMENT)
-
-
 def _parse_transcript(
     source: str | Path | IO, refined: bool | None
 ) -> tuple[list[StudentModuleOutcome], list[float], IngestReport]:
     """The row loop of both schemas; the refined marks stay empty unless
     ``refined``, and None picks the schema from the header.
 
-    Each row is checked inline, the one place a record is built from CSV
-    cells; a row turned down goes to ``_row_issues`` (its refined mark to
-    ``_refined_mark_issue``), which write the reject messages.
+    Each cell is checked once, in column order, and a check that fails
+    writes its reject then; a row that wrote none is the one place a record
+    is built from CSV cells.
     """
     reader = csv.reader(io.StringIO(_read_text(source), newline=""))
     header = next(reader, None)
@@ -281,6 +199,7 @@ def _parse_transcript(
     # The weight cells of a file repeat a few splits, so each pair of cell
     # texts is checked once per parse.
     weightings: dict[tuple[str, str], AssessmentWeighting] = {}
+    zero_weight = "mark recorded for a component with zero weight"
     records: list[StudentModuleOutcome] = []
     refined_marks: list[float] = []
     issues: list[ValidationIssue] = []
@@ -291,45 +210,65 @@ def _parse_transcript(
             continue
         refined_ok = True
         if refined:
+            # unclamped refinement may leave [0, 100]
             refined_text = row.pop()
             if not (fullmatch(refined_text) and isfinite(refined_mark := float(refined_text))):
-                _refined_mark_issue(row_number, refined_text, issues)
+                _reject(issues, row_number, REFINED_MARK_COLUMN, _mark_fault(refined_text, -math.inf, math.inf))
                 refined_ok = False
+        # the refined mark aside, a row that adds no reject from here on is a record
+        faults = len(issues)
         (
             student_id, department, year_text, module_code, module_text,
             exam_text, cswk_text, exam_weight_text, cswk_weight_text,
         ) = row
+        if not student_id:
+            _reject(issues, row_number, "student_id", "required field is empty")
+        if not department:
+            _reject(issues, row_number, "department", "required field is empty")
+        if not module_code:
+            _reject(issues, row_number, "module_code", "required field is empty")
+        if not (year_text.isdecimal() and year_text.isascii()):
+            _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
+        if not (fullmatch(module_text) and 0.0 <= (module_mark := float(module_text)) <= 100.0):
+            _reject(issues, row_number, "module_mark", _mark_fault(module_text))
+        # a blank component mark is missing, not malformed
+        exam_mark = cswk_mark = None
+        if exam_text and not (fullmatch(exam_text) and 0.0 <= (exam_mark := float(exam_text)) <= 100.0):
+            _reject(issues, row_number, "exam_mark", _mark_fault(exam_text))
+        if cswk_text and not (fullmatch(cswk_text) and 0.0 <= (cswk_mark := float(cswk_text)) <= 100.0):
+            _reject(issues, row_number, "cswk_mark", _mark_fault(cswk_text))
         weighting = weightings.get((exam_weight_text, cswk_weight_text))
         if weighting is None:
-            weighting = _split_weighting(exam_weight_text, cswk_weight_text)
-            if weighting is not None:
-                weightings[exam_weight_text, cswk_weight_text] = weighting
-        # A blank component mark is missing; a mark on a zero-weight
-        # component rejects the row.
-        exam_mark = cswk_mark = None
-        if not (
-            student_id and department and module_code
-            and year_text.isdecimal() and year_text.isascii()
-            and weighting is not None
-            and fullmatch(module_text) and 0.0 <= (module_mark := float(module_text)) <= 100.0
-            and (not exam_text or (
-                weighting.exam_weight
-                and fullmatch(exam_text) and 0.0 <= (exam_mark := float(exam_text)) <= 100.0
-            ))
-            and (not cswk_text or (
-                weighting.coursework_weight
-                and fullmatch(cswk_text) and 0.0 <= (cswk_mark := float(cswk_text)) <= 100.0
-            ))
-        ):
-            _row_issues(row_number, row, issues)
+            # a split is two counts summing to 100
+            exam_count = exam_weight_text.isdecimal() and exam_weight_text.isascii()
+            if not exam_count:
+                _reject(issues, row_number, "exam_weight", f"must be a non-negative integer, got {exam_weight_text!r}")
+            cswk_count = cswk_weight_text.isdecimal() and cswk_weight_text.isascii()
+            if not cswk_count:
+                _reject(issues, row_number, "cswk_weight", f"must be a non-negative integer, got {cswk_weight_text!r}")
+            if exam_count and cswk_count:
+                split = int(exam_weight_text), int(cswk_weight_text)
+                if sum(split) != 100:
+                    _reject(issues, row_number, "cswk_weight", f"weights sum to {sum(split)}, not 100")
+                else:
+                    weighting = _WEIGHTINGS.get(split)
+                    if weighting is None:
+                        weighting = _WEIGHTINGS[split] = AssessmentWeighting(*split)
+                    weightings[exam_weight_text, cswk_weight_text] = weighting
+        if weighting is not None:
+            exam_weight = weighting.exam_weight
+            cswk_weight = weighting.coursework_weight
+            if exam_text and not exam_weight:
+                _reject(issues, row_number, "exam_mark", zero_weight, IssueCategory.MEASUREMENT)
+            if cswk_text and not cswk_weight:
+                _reject(issues, row_number, "cswk_mark", zero_weight, IssueCategory.MEASUREMENT)
+        if len(issues) != faults:
             continue
         # Recombination check: if every weighted component mark is present,
         # the weighted mean should reproduce the stored module mark.  A
         # zero-weight component has no mark by now, so the marks present are
         # the weighted ones.  A row rejected only for its refined mark is
         # still checked.
-        exam_weight = weighting.exam_weight
-        cswk_weight = weighting.coursework_weight
         if (exam_mark is not None or not exam_weight) and (cswk_mark is not None or not cswk_weight):
             combined = 0  # an int start, like sum(): -0.0 parts give 0.0
             if exam_mark is not None:

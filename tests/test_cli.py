@@ -1,6 +1,8 @@
 """Command-line surface: flows, formats, determinism, exit codes."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import stat
@@ -276,6 +278,12 @@ def test_evaluate_from_fixture_rejects_csv() -> None:
     assert "text or json" in result.output
 
 
+def test_evaluate_from_fixture_takes_no_input() -> None:
+    result = runner.invoke(main, ["evaluate", "nonexistent.csv", "--from-fixture", "--trees", "0"])
+    assert result.exit_code == 2, result.output
+    assert "takes no INPUT_CSV" in result.output
+
+
 def test_evaluate_rejects_unrefined_schema(cohort: Path) -> None:
     run("evaluate", str(cohort), expect=2)
 
@@ -386,6 +394,27 @@ def two_department_copy(cohort: Path) -> Path:
     return path
 
 
+def test_csv_reports_quote_department_names(cohort: Path, tmp_path: Path) -> None:
+    name = 'Eng, "Civil"'
+    rows = list(csv.reader(cohort.open(newline="")))
+    for row in rows[1:]:
+        if row[0][-1] in "13579":
+            row[1] = name
+    source = tmp_path / "quoted.csv"
+    with source.open("w", newline="") as stream:
+        csv.writer(stream, lineterminator="\n").writerows(rows)
+    model_out = tmp_path / "model.json"
+    reports = [
+        run("stats", str(source), "--format", "csv"),
+        run("refine", str(source), "--per-department", "--model-out", str(model_out), "--format", "csv"),
+        run("report", str(model_out), "--format", "csv"),
+    ]
+    for text in reports:
+        read = [row for row in csv.reader(io.StringIO(text)) if row]
+        assert {len(row) for row in read} == {7}
+        assert name in [row[0] for row in read]
+
+
 @pytest.mark.parametrize("scope", [(), ("--per-department",)], ids=["pooled", "per-department"])
 def test_report_renders_saved_model_like_refine(cohort: Path, tmp_path: Path, scope) -> None:
     source = two_department_copy(cohort)
@@ -400,7 +429,8 @@ def test_report_rejects_unrecognized_json(tmp_path: Path) -> None:
     path = tmp_path / "junk.json"
     path.write_text('{"hello": 1}')
     for format in ("text", "json", "csv"):
-        run("report", str(path), "--format", format, expect=2)
+        output = run("report", str(path), "--format", format, expect=2)
+        assert "expected an `evaluate --format json` report or a `refine` model file" in output
 
 
 MODEL = {"b0": 1.5, "b1": 12.0, "b2": -5.0, "r_squared": 0.5, "model_kind": "quadratic", "n_observations": 9}
@@ -503,8 +533,15 @@ def test_non_utf8_input_is_usage_error(cohort: Path, refined: Path, tmp_path: Pa
 
 @pytest.mark.parametrize(
     "args",
-    [("validate", "{cohort}"), ("stats", "{cohort}"), ("--help",), ("evaluate", "--help")],
-    ids=["validate", "stats", "help", "evaluate-help"],
+    [
+        ("validate", "{cohort}"),
+        ("stats", "{cohort}"),
+        ("--help",),
+        ("evaluate", "--help"),
+        ("evaluate", "--from-fixture"),
+        ("evaluate", "--from-fixture", "--format", "json"),
+    ],
+    ids=["validate", "stats", "help", "evaluate-help", "evaluate-fixture", "evaluate-fixture-json"],
 )
 def test_command_runs_without_numpy(cohort: Path, args) -> None:
     probe = (

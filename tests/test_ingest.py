@@ -4,8 +4,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -19,13 +21,14 @@ from markprep import (
     Severity,
     StudentModuleOutcome,
     TranscriptSchemaError,
+    ValidationIssue,
     apply_missing_policy,
     deduplicate,
     parse_refined_transcript_csv,
     parse_transcript_csv,
     write_transcript_csv,
 )
-from markprep.ingest import _refined_mark_issue, _row_issues
+from markprep.ingest import _MARK_GRAMMAR, _WEIGHTINGS, _reject
 from test_core import make_outcome
 
 HEADER = ",".join(TRANSCRIPT_COLUMNS)
@@ -177,6 +180,18 @@ def test_recombination_tolerance_boundary() -> None:
     assert report_ok.issues == ()
     _, report_bad = parse(f"{HEADER}\nS1,CS,1,M1,60.051,58,62,50,50\n")
     assert len(report_bad.issues) == 1
+
+
+def test_refined_mark_reject_still_checks_recombination() -> None:
+    # the refined mark is not a canonical cell, so a row rejected for it
+    # alone is still checked against its components
+    text = f"{HEADER},{REFINED_MARK_COLUMN}\nS1,CS,1,M1,61,58,62,50,50,nan\n"
+    records, marks, report = parse_refined_transcript_csv(io.StringIO(text))
+    assert (records, marks, report.rejected_count) == ([], [], 1)
+    assert [(i.field, i.category, i.severity, i.detail) for i in report.issues] == [
+        (REFINED_MARK_COLUMN, IssueCategory.DATA_ENTRY, Severity.REJECT, "not a finite number: 'nan'"),
+        ("module_mark", IssueCategory.DISTILLATION, Severity.WARN, "weighted components give 60.00, module mark is 61"),
+    ]
 
 
 def test_recombination_skipped_when_component_missing() -> None:
@@ -367,6 +382,106 @@ def test_error_grid_matches_recorded_behaviour(schema: str) -> None:
     assert {k: lines(v) for k, v in got.items()} == {k: lines(v) for k, v in expected.items()}
 
 
+# The row checks as an explain pass once wrote them, kept verbatim as a
+# reference for the parse's single pass: every check, message and issue
+# order of a rejected row, and the shared weighting of an accepted one.
+def _parse_mark(text: str, low: float = 0.0, high: float = 100.0) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    if not low <= value <= high:
+        raise ValueError(f"out of range [{low:g}, {high:g}]: {text!r}")
+    if not _MARK_GRAMMAR.fullmatch(text):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return value
+
+
+def _parse_count(text: str) -> int | None:
+    """A non-negative integer in ASCII digits, or None when ``text`` is not
+    one."""
+    return int(text) if text.isdecimal() and text.isascii() else None
+
+
+def _refined_mark_issue(row_number: int, text: str, issues: list[ValidationIssue]) -> None:
+    """Append the reject issue for a refined mark that is not a finite
+    number: unclamped refinement may leave [0, 100]."""
+    try:
+        _parse_mark(text, -math.inf, math.inf)
+    except ValueError as exc:
+        _reject(issues, row_number, REFINED_MARK_COLUMN, str(exc))
+
+
+def _split_weighting(exam_text: str, cswk_text: str) -> AssessmentWeighting | None:
+    """The weighting two weight cells name, or None when they are not two
+    counts summing to 100."""
+    exam_weight = _parse_count(exam_text)
+    cswk_weight = _parse_count(cswk_text)
+    if exam_weight is None or cswk_weight is None or exam_weight + cswk_weight != 100:
+        return None
+    weighting = _WEIGHTINGS.get((exam_weight, cswk_weight))
+    if weighting is None:
+        weighting = _WEIGHTINGS[exam_weight, cswk_weight] = AssessmentWeighting(exam_weight, cswk_weight)
+    return weighting
+
+
+def _row_issues(row_number: int, row: Sequence[str], issues: list[ValidationIssue]) -> None:
+    """Append a reject issue for each fault in one data row of the
+    canonical columns, in column order; the row loop calls this only for
+    rows it turned down."""
+    (
+        student_id, department, year_text, module_code, module_text,
+        exam_text, cswk_text, exam_weight_text, cswk_weight_text,
+    ) = row
+    if not student_id:
+        _reject(issues, row_number, "student_id", "required field is empty")
+    if not department:
+        _reject(issues, row_number, "department", "required field is empty")
+    if not module_code:
+        _reject(issues, row_number, "module_code", "required field is empty")
+
+    if _parse_count(year_text) is None:
+        _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
+
+    try:
+        _parse_mark(module_text)
+    except ValueError as exc:
+        _reject(issues, row_number, "module_mark", str(exc))
+
+    # a blank component mark is missing, not malformed
+    if exam_text:
+        try:
+            _parse_mark(exam_text)
+        except ValueError as exc:
+            _reject(issues, row_number, "exam_mark", str(exc))
+    if cswk_text:
+        try:
+            _parse_mark(cswk_text)
+        except ValueError as exc:
+            _reject(issues, row_number, "cswk_mark", str(exc))
+
+    exam_weight = _parse_count(exam_weight_text)
+    if exam_weight is None:
+        _reject(
+            issues, row_number, "exam_weight", f"must be a non-negative integer, got {exam_weight_text!r}"
+        )
+    cswk_weight = _parse_count(cswk_weight_text)
+    if cswk_weight is None:
+        _reject(
+            issues, row_number, "cswk_weight", f"must be a non-negative integer, got {cswk_weight_text!r}"
+        )
+    if exam_weight is not None and cswk_weight is not None:
+        if exam_weight + cswk_weight != 100:
+            _reject(
+                issues, row_number, "cswk_weight", f"weights sum to {exam_weight + cswk_weight}, not 100"
+            )
+        else:
+            zero_weight = "mark recorded for a component with zero weight"
+            if exam_weight == 0 and exam_text:
+                _reject(issues, row_number, "exam_mark", zero_weight, IssueCategory.MEASUREMENT)
+            if cswk_weight == 0 and cswk_text:
+                _reject(issues, row_number, "cswk_mark", zero_weight, IssueCategory.MEASUREMENT)
+
+
 # Cells that only one of the parser's checks turns down, or that look
 # malformed and are not: a non-ASCII digit, a mark that overflows to inf,
 # a negative zero, a leading zero and a point with digits on one side only.
@@ -374,9 +489,10 @@ FUZZ_VALUES = GRID_VALUES + ("\u0663", "1e999", "-0", "050", "5.", ".5")
 
 
 @pytest.mark.parametrize("refined", [False, True], ids=["canonical", "refined"])
-def test_inline_accept_matches_explain_path(refined: bool) -> None:
-    # A row is accepted exactly when the explain functions find no fault,
-    # and the record equals the one the public constructor builds.
+def test_parse_matches_reference_row_checks(refined: bool) -> None:
+    # A row is rejected with exactly the issues the reference checks write,
+    # and a row they find no fault in becomes the record the public
+    # constructor builds, on the weighting its split shares.
     rng = random.Random(14)
     extra = (GRID_REFINED_MARK,) if refined else ()
     # a mixed row, and an exam-only and a coursework-only one whose blank
@@ -385,7 +501,7 @@ def test_inline_accept_matches_explain_path(refined: bool) -> None:
     rows = []
     for _ in range(3000):
         row = list(rng.choice(bases))
-        for column in rng.sample(range(len(row)), rng.choice((1, 2))):
+        for column in rng.sample(range(len(row)), rng.choice((1, 2, 3))):
             row[column] = rng.choice(FUZZ_VALUES)
         rows.append(row)
     text = io.StringIO()
@@ -418,6 +534,7 @@ def test_inline_accept_matches_explain_path(refined: bool) -> None:
             AssessmentWeighting(int(cells[7]), int(cells[8])),
         )
         assert record == StudentModuleOutcome(*fields)
+        assert record.weighting is _split_weighting(cells[7], cells[8])
         if refined:
             assert mark == float(row[-1])
     assert next(accepted, None) is None
