@@ -78,8 +78,8 @@ _EXPORTS = {
     "regularized_incomplete_beta": "stats",
     "student_t_cdf": "stats",
     "two_sample_t": "stats",
+    "Stream": "streams",
     "normal_deviate": "streams",
-    "substream": "streams",
     "DEFAULT_WEIGHT_CLASSES": "synthgen",
     "CohortSpec": "synthgen",
     "CohortSpecError": "synthgen",

@@ -2,10 +2,13 @@
 
 CART trees with Gini-impurity split search, bootstrap resampling, and
 per-node uniform feature subsets.  All randomness comes from per-purpose
-sub-streams under one seed: key (0,) shuffles holdout splits, key (1, t)
-drives tree t's bootstrap draw and feature subsets.  Trees are built
-depth-first, left child before right, so a tree's stream consumption is
-a fixed function of its data.
+streams under one seed: key (0,) shuffles holdout splits with a
+Fisher-Yates shuffle of all n rows, and key (1, t) drives tree t.  A
+tree's stream first gives n words for its bootstrap draw, one row index
+``bounded(w, n)`` each, then, as the tree grows depth-first, left child
+before right, each node it tries to split takes ``max_features`` words
+for the first ``max_features`` items of a shuffle of the features.  So
+a tree's stream consumption is a fixed function of its data.
 
 Split thresholds sit at midpoints between consecutive distinct sorted
 feature values; rows with feature <= threshold go left.  ``proba_matrix``
@@ -16,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
 from .core import DegreeBand
-from .streams import substream
+from .streams import Stream, bounded, shuffled_prefix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _STREAM_HOLDOUT = 0
 _STREAM_TREE = 1
@@ -133,7 +137,7 @@ def holdout_split(
         raise ValueError(
             f"test_fraction {test_fraction} leaves an empty side for {n} rows"
         )
-    order = substream(seed, _STREAM_HOLDOUT).permutation(n)
+    order = shuffled_prefix(n, Stream(seed, _STREAM_HOLDOUT).words(n))
     test = [rows[i] for i in order[:n_test]]
     train = [rows[i] for i in order[n_test:]]
     return train, test
@@ -198,7 +202,7 @@ def _grow_tree(
     columns: list[list[float]],
     labels: list[int],
     root_indexes: list[int],
-    rng: np.random.Generator,
+    stream: Stream,
     max_features: int,
     min_leaf: int,
 ) -> TreeNode:
@@ -226,7 +230,7 @@ def _grow_tree(
         n = len(indexes)
         split = None
         if max(counts) < n and n >= 2 * min_leaf:
-            subset = rng.permutation(n_features)[:max_features].tolist()
+            subset = shuffled_prefix(n_features, stream.words(max_features))
             split = _best_split(columns, labels, indexes, counts, subset, min_leaf)
         if split is None or gini_impurity(counts) - split[0] <= _MIN_IMPURITY_GAIN:
             built.append(TreeNode(None, None, None, None, tuple(counts)))
@@ -252,11 +256,12 @@ def train_forest(
     """
     if not rows:
         raise ValueError("cannot train on zero rows")
-    x_matrix = np.array([row.features for row in rows], dtype=float)
-    y = np.array([int(row.label) for row in rows], dtype=np.int64)
-    if np.unique(y).size < 2:
+    labels = [int(row.label) for row in rows]
+    if len(set(labels)) < 2:
         raise SingleClassError("training data contains a single band")
-    n_rows, n_features = x_matrix.shape
+    n_rows, n_features = len(rows), len(rows[0].features)
+    if any(len(row.features) != n_features for row in rows):
+        raise ValueError("every row must have the same number of features")
     if params.max_features is not None and params.max_features > n_features:
         raise ValueError(
             f"max_features {params.max_features} exceeds feature count {n_features}"
@@ -266,17 +271,15 @@ def train_forest(
         if params.max_features is not None
         else math.ceil(math.sqrt(n_features))
     )
-
-    columns = x_matrix.T.tolist()
-    labels = y.tolist()
+    columns = [[float(value) for value in column] for column in zip(*(row.features for row in rows))]
 
     def build(tree_index: int) -> TreeNode:
-        rng = substream(seed, _STREAM_TREE, tree_index)
+        stream = Stream(seed, _STREAM_TREE, tree_index)
         if params.bootstrap:
-            indexes = rng.integers(0, n_rows, size=n_rows).tolist()
+            indexes = [bounded(word, n_rows) for word in stream.words(n_rows)]
         else:
             indexes = list(range(n_rows))
-        return _grow_tree(columns, labels, indexes, rng, max_features, params.min_leaf)
+        return _grow_tree(columns, labels, indexes, stream, max_features, params.min_leaf)
 
     return ForestModel(tuple(build(t) for t in range(params.tree_count)), n_features)
 
@@ -287,6 +290,8 @@ def proba_matrix(model: ForestModel, x_matrix: np.ndarray) -> np.ndarray:
     Columns follow band order worst-first.  Each tree routes all rows at
     once; a row still adds its trees' leaf distributions in tree order.
     """
+    import numpy as np
+
     x_matrix = np.asarray(x_matrix, dtype=float)
     if x_matrix.ndim != 2 or x_matrix.shape[1] != model.n_features:
         raise ValueError(

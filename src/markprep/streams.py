@@ -1,31 +1,168 @@
 """Deterministic random-number streams derived from a single root seed.
 
-Every stochastic component draws from its own sub-stream, keyed by integer
-path components under the root seed.  Streams with different keys are
-statistically independent, and a draw on one stream never shifts another,
-so enlarging a cohort or adding trees leaves previously generated values
-untouched.
+A :class:`Stream` is a PCG64 generator (O'Neill, HMC-CS-2014-0905) in
+pure Python, seeded exactly like
+``numpy.random.PCG64(numpy.random.SeedSequence(seed, spawn_key=key))``,
+so its words equal that generator's ``random_raw`` output bit for bit.
+Streams with different keys are statistically independent, and a draw
+on one stream never shifts another, so enlarging a cohort or adding
+trees leaves previously generated values untouched.
+
+Every transform from 64-bit words to draws lives here, and each takes
+a fixed number of words:
+
+- :func:`uniform`: one word, ``(w >> 11) * 2**-53``, which equals
+  numpy's ``Generator.random()`` on the same stream;
+- :func:`bounded`: one word, ``(w * k) >> 64``, Lemire's multiply-shift
+  (ACM TOMACS 2019) without the rejection step, so the bias is at most
+  k / 2**64;
+- :func:`normal_deviate`: two words, a Box-Muller deviate from two uniforms;
+- :func:`shuffled_prefix`: k words, the first k items of a forward
+  Fisher-Yates shuffle of ``range(n)``.
+
+Because the byte output depends only on these formulas and on PCG64,
+it does not depend on numpy, nor on the algorithms of numpy's
+``Generator`` methods.
 """
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
-import numpy as np
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+# numpy.random.SeedSequence: a pool of four 32-bit words and its hash
+# constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+_TWO_PI = 2.0 * math.pi
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the sub-stream at ``key`` under ``seed``."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int; [0] for 0."""
+    if value < 0:
+        raise ValueError(f"stream seeds and keys must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
 
 
-def normal_deviate(rng: np.random.Generator) -> float:
-    """Standard normal draw from two uniforms (Box-Muller).
+def _seed_state(seed: int, key: Sequence[int]) -> tuple[int, int]:
+    """PCG64's (initstate, initseq) from ``SeedSequence(seed, spawn_key=key)``.
 
-    Uses exactly two uniform draws per call, keeping stream consumption
-    easy to reason about.
+    The hash steps are written out inline: this runs once per stream.
     """
-    u1 = rng.random()
-    u2 = rng.random()
+    entropy = _uint32_words(seed)
+    spawn = [word for part in key for word in _uint32_words(part)]
+    if spawn and len(entropy) < _POOL_SIZE:
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy += spawn
+
+    # mix_entropy: hash each of the first four words into the pool, hash
+    # every pool word into every other, then mix in the remaining words.
+    # The hash constant advances with every hash, whatever its input.
+    hash_const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        value = (entropy[i] if i < len(entropy) else 0) ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        pool.append(value ^ (value >> _XSHIFT))
+    sources = [(pool_index, None) for pool_index in range(_POOL_SIZE)]
+    sources += [(None, value) for value in entropy[_POOL_SIZE:]]
+    for pool_index, value in sources:
+        for dst in range(_POOL_SIZE):
+            if dst == pool_index:
+                continue
+            hashed = (pool[pool_index] if value is None else value) ^ hash_const
+            hash_const = (hash_const * _MULT_A) & _MASK32
+            hashed = (hashed * hash_const) & _MASK32
+            hashed ^= hashed >> _XSHIFT
+            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
+            pool[dst] = mixed ^ (mixed >> _XSHIFT)
+
+    # generate_state(4, uint64): eight 32-bit words cycled from the pool,
+    # paired little-endian into four 64-bit words
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> _XSHIFT))
+    v0, v1, v2, v3 = (state[2 * i] | state[2 * i + 1] << 32 for i in range(4))
+    return v0 << 64 | v1, v2 << 64 | v3
+
+
+class Stream:
+    """The PCG64 stream at ``key`` under ``seed``."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int, *key: int) -> None:
+        initstate, initseq = _seed_state(seed, key)
+        self._inc = (initseq << 1 | 1) & _MASK128
+        state = self._inc  # one step from state 0
+        state = (state + initstate) & _MASK128
+        self._state = (state * _PCG_MULT + self._inc) & _MASK128
+
+    def words(self, count: int) -> list[int]:
+        """The next ``count`` 64-bit words: an LCG step, then XSL-RR
+        (the high and low halves xor-folded, rotated right by the top six
+        state bits)."""
+        state, inc, mult, mask64, mask128 = self._state, self._inc, _PCG_MULT, _MASK64, _MASK128
+        out: list[int] = []
+        append = out.append
+        for _ in range(count):
+            state = (state * mult + inc) & mask128
+            folded = (state >> 64 ^ state) & mask64
+            rot = state >> 122
+            append((folded >> rot | folded << (64 - rot)) & mask64)
+        self._state = state
+        return out
+
+
+def uniform(word: int) -> float:
+    """A float in [0, 1) from the top 53 bits of one word."""
+    return (word >> 11) * 2.0**-53
+
+
+def bounded(word: int, k: int) -> int:
+    """An integer in [0, k) from one word."""
+    return (word * k) >> 64
+
+
+def normal_deviate(word1: int, word2: int) -> float:
+    """Standard normal deviate from two words (Box-Muller)."""
+    u1 = uniform(word1)
+    u2 = uniform(word2)
     # u1 is in [0, 1), so 1 - u1 is in (0, 1] and the log is finite.
     radius = math.sqrt(-2.0 * math.log1p(-u1))
-    return radius * math.cos(2.0 * math.pi * u2)
+    return radius * math.cos(_TWO_PI * u2)
+
+
+def shuffled_prefix(n: int, words: Sequence[int]) -> list[int]:
+    """The first ``len(words)`` items of a forward Fisher-Yates shuffle of
+    ``range(n)``: step i swaps item i with item i + bounded(words[i], n - i).
+
+    With n words the prefix is the whole permutation.
+    """
+    if len(words) > n:
+        raise ValueError(f"cannot take {len(words)} items from a shuffle of {n}")
+    items = list(range(n))
+    for i, word in enumerate(words):
+        j = i + ((word * (n - i)) >> 64)
+        items[i], items[j] = items[j], items[i]
+    return items[: len(words)]

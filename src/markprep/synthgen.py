@@ -6,12 +6,12 @@ Marks follow a configurable coursework-ratio effect:
                  + noise, 0, 100)
 
 with per-student ability ~ Normal(ability_mean, ability_sd) and
-per-module noise ~ Normal(0, noise_sd).  Every normal deviate comes from
-a Box-Muller transform of uniforms on a dedicated sub-stream: key
-(department index, student index) for ability, key (department index,
-student index, year, module index) for module draws.  Generated output
-is therefore a pure function of its cohort spec, and enlarging a cohort
-leaves existing students' records byte-identical.
+per-module noise ~ Normal(0, noise_sd).  Every draw comes from the
+student's own stream, key (department index, student index), at a fixed
+word offset set by the module's (year, module) position: see
+``generate_cohort``.  Generated output is therefore a pure function of
+its cohort spec, and enlarging a cohort leaves existing students'
+records byte-identical.
 
 Component marks are back-filled so their weighted mean reproduces the
 module mark exactly: exam = mark + wc * d and coursework = mark - we * d
@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 from .core import AssessmentWeighting, StudentModuleOutcome, read_count, read_fields, read_list, read_number
-from .streams import normal_deviate, substream
+from .streams import Stream, bounded, normal_deviate, uniform
 
 # Largest coursework/exam divergence (in marks) the component split may
 # introduce, before feasibility clipping to keep both components in range.
@@ -182,43 +182,44 @@ def _split_components(
 
 
 def generate_cohort(spec: CohortSpec) -> list[StudentModuleOutcome]:
-    """Generate the cohort described by ``spec``; pure and deterministic."""
+    """Generate the cohort described by ``spec``; pure and deterministic.
+
+    Each student reads all their words in one call on their own stream:
+    words 0-1 give the ability, and the module at position p, counted in
+    year order and then module index, reads words 2+4p to 5+4p: its
+    weight class, two words for its noise, then its component spread.
+    """
     records: list[StudentModuleOutcome] = []
     for dept_index, dept in enumerate(spec.departments):
         width = max(5, len(str(max(dept.student_count - 1, 0))))
+        classes = dept.cw_weight_classes
+        weightings = [AssessmentWeighting(100 - weight, weight) for weight in classes]
+        modules = [
+            (year, f"{dept.code}-Y{year}-M{module_index:02d}")
+            for year in dept.years
+            for module_index in range(dept.modules_per_student_per_year)
+        ]
         for student_index in range(dept.student_count):
-            student_rng = substream(spec.seed, dept_index, student_index)
-            ability = spec.ability_mean + spec.ability_sd * normal_deviate(student_rng)
+            words = Stream(spec.seed, dept_index, student_index).words(2 + 4 * len(modules))
+            ability = spec.ability_mean + spec.ability_sd * normal_deviate(words[0], words[1])
             student_id = f"{dept.code}{student_index:0{width}d}"
-            for year in dept.years:
-                for module_index in range(dept.modules_per_student_per_year):
-                    module_rng = substream(
-                        spec.seed, dept_index, student_index, year, module_index
+            for position, (year, module_code) in enumerate(modules):
+                offset = 2 + 4 * position
+                class_index = bounded(words[offset], len(classes))
+                weighting = weightings[class_index]
+                car = classes[class_index] / 100.0
+                noise = spec.noise_sd * normal_deviate(words[offset + 1], words[offset + 2])
+                raw = (
+                    ability
+                    + spec.effect_linear * car
+                    + spec.effect_quadratic * car * car
+                    + noise
+                )
+                mark = min(100.0, max(0.0, raw))
+                exam, cswk = _split_components(mark, weighting, uniform(words[offset + 3]))
+                records.append(
+                    StudentModuleOutcome(
+                        student_id, dept.code, year, module_code, mark, exam, cswk, weighting
                     )
-                    cswk_weight = dept.cw_weight_classes[
-                        int(module_rng.integers(len(dept.cw_weight_classes)))
-                    ]
-                    weighting = AssessmentWeighting(100 - cswk_weight, cswk_weight)
-                    car = cswk_weight / 100.0
-                    noise = spec.noise_sd * normal_deviate(module_rng)
-                    raw = (
-                        ability
-                        + spec.effect_linear * car
-                        + spec.effect_quadratic * car * car
-                        + noise
-                    )
-                    mark = min(100.0, max(0.0, raw))
-                    exam, cswk = _split_components(mark, weighting, module_rng.random())
-                    records.append(
-                        StudentModuleOutcome(
-                            student_id,
-                            dept.code,
-                            year,
-                            f"{dept.code}-Y{year}-M{module_index:02d}",
-                            mark,
-                            exam,
-                            cswk,
-                            weighting,
-                        )
-                    )
+                )
     return records

@@ -19,6 +19,7 @@ from markprep import (
     AssessmentWeighting,
     ForestParams,
     ModelKind,
+    Stream,
     StudentModuleOutcome,
     auc_binary,
     auc_multiclass,
@@ -33,11 +34,11 @@ from markprep import (
     refine_mark,
     run_refinement_pipeline,
     student_t_cdf,
-    substream,
     two_sample_t,
 )
 from markprep.cli import main as cli_main
 from markprep.core import DegreeBand
+from markprep.streams import bounded
 from markprep.fixtures import (
     CONFUSION_WITH_CAR,
     CONFUSION_WITHOUT_CAR,
@@ -202,21 +203,24 @@ def _banded_cohorts(seed: int, students: int = 406) -> tuple[list[StudentModuleO
     """A planted and a null cohort of 406 students x 32 modules from one
     set of draws; only the target year carries the ratio effect, so the
     band depends on ratio-driven inflation that earlier years cannot
-    reveal."""
+    reveal.  Each student reads one stream: words 0-1 give the ability,
+    and module m reads words 2+3m (its ratio) and 3+3m, 4+3m (its noise)."""
+    weightings = {cswk: AssessmentWeighting(100 - cswk, cswk) for menu in ((0,), *_MENUS) for cswk in menu}
     cohorts: tuple[list[StudentModuleOutcome], list[StudentModuleOutcome]] = ([], [])
     for i in range(students):
         menu = _MENUS[i % 3]
-        ability = 58.0 + 10.0 * normal_deviate(substream(seed, 0, i))
+        words = Stream(seed, 0, i).words(2 + 3 * 32)
+        ability = 58.0 + 10.0 * normal_deviate(words[0], words[1])
         module_index = 0
         for year, module_count in ((1, 11), (2, 11), (3, 10)):
             for _ in range(module_count):
-                module_rng = substream(seed, 0, i, year, module_index)
+                offset = 2 + 3 * module_index
                 module_index += 1
-                cswk = 0 if year < 3 else menu[int(module_rng.integers(len(menu)))]
+                cswk = 0 if year < 3 else menu[bounded(words[offset], len(menu))]
                 car = cswk / 100.0
-                noise = 8.0 * normal_deviate(module_rng)
+                noise = 8.0 * normal_deviate(words[offset + 1], words[offset + 2])
                 for records, (b1, b2) in zip(cohorts, ((12.77, -5.873), (0.0, 0.0))):
-                    mark = float(np.clip(ability + b1 * car + b2 * car * car + noise, 0.0, 100.0))
+                    mark = min(100.0, max(0.0, ability + b1 * car + b2 * car * car + noise))
                     records.append(
                         StudentModuleOutcome(
                             student_id=f"S{i:05d}",
@@ -226,7 +230,7 @@ def _banded_cohorts(seed: int, students: int = 406) -> tuple[list[StudentModuleO
                             module_mark=mark,
                             exam_mark=mark if cswk < 100 else None,
                             cswk_mark=mark if cswk > 0 else None,
-                            weighting=AssessmentWeighting(100 - cswk, cswk),
+                            weighting=weightings[cswk],
                         )
                     )
     return cohorts

@@ -22,55 +22,55 @@ runner = CliRunner()
 FORMATS = ("text", "json", "csv")
 
 GOLDEN = {
-    "cohort.csv": "7a66c7b360d2816b539290cd9c17baf10df6ff2ef3366557dd6b60b82e24f274",
+    "cohort.csv": "21adc09d424c695d56995128ccc65c51623d2acf9f35bead7f9131c75cd17ece",
     "cohort.spec.json": "21c2e6b9b41bc7e4c57ae3fc68f6639169c788a342dd3fd04651a912425fd418",
-    "evaluate.per_department.csv": "137516ed82070cc78d564fca06217d5e898bdf7dce1c35fbc01b9bbef5575c3e",
-    "evaluate.per_department.json": "440621f7441123ac68a5f70019d208b7e768a95657ada07fdeb6f47b1effe324",
-    "evaluate.per_department.text": "3eef88e234316cd0e182c86c2781cc1de022551756768a5a8b06194d23432140",
-    "evaluate.pooled.csv": "137516ed82070cc78d564fca06217d5e898bdf7dce1c35fbc01b9bbef5575c3e",
-    "evaluate.pooled.json": "440621f7441123ac68a5f70019d208b7e768a95657ada07fdeb6f47b1effe324",
-    "evaluate.pooled.text": "3eef88e234316cd0e182c86c2781cc1de022551756768a5a8b06194d23432140",
+    "evaluate.per_department.csv": "6947b3c4e3ad11b057674576448f83579cd6d3c875ac6e39f2cd4d8606057dbf",
+    "evaluate.per_department.json": "147ca79a5fb341c5c42e2700679092c40e32c155cded3746cca1ff9686b7bc33",
+    "evaluate.per_department.text": "252d90f9fe3423d664edab829e686e84bbc1f1bd77ca21b682e5d1e65cc27c53",
+    "evaluate.pooled.csv": "6947b3c4e3ad11b057674576448f83579cd6d3c875ac6e39f2cd4d8606057dbf",
+    "evaluate.pooled.json": "147ca79a5fb341c5c42e2700679092c40e32c155cded3746cca1ff9686b7bc33",
+    "evaluate.pooled.text": "252d90f9fe3423d664edab829e686e84bbc1f1bd77ca21b682e5d1e65cc27c53",
     "generate": "7749b720ee24516cd760387e83d9482d1e14ebf36c878b0b1fbc88b0d1be3712",
-    "per_department.model.json": "979c3b0c33c57f0df48f76a423440580c05d196fb930bbb3c1b1521ca72f96ea",
-    "per_department.refined.csv": "343c7b966cc75522419dc0a2b4312edef8e2730da74623563cb93db3c8d32a32",
-    "pooled.model.json": "974ca9b0f6cdca765552628af43c37a22e648722865223ad92ec5ad927557e20",
-    "pooled.refined.csv": "343c7b966cc75522419dc0a2b4312edef8e2730da74623563cb93db3c8d32a32",
-    "refine.per_department.csv": "df8cf06f9b69fc27337ce13e2e1689de5974a9a4691792fcd2e84af2c26d380a",
-    "refine.per_department.json": "1d713f1799245e52fe28b4f048ab0ef9bb7358f4615c8a1f7b8a5d341785533c",
-    "refine.per_department.text": "ad935816ee58ea5c66cdddaa3fe021bdb88009000b676212fd5d786c1e89929f",
-    "refine.pooled.csv": "08a13f8fc6ba2a3914648310fd091025c40263baa45f6b413014578927e2dd6b",
-    "refine.pooled.json": "5df25fc0c310624c538e5df5de32cbad5198af2db8d4b023cab748cd8464148b",
-    "refine.pooled.text": "5bf0bd455f765f926298384e7f0ea13d40ef35b083c5a323b178228c616aec94",
-    "stats.csv": "273522b14d0b86b3cb781c355306f08e92366d3c478b53478868c449d57c541e",
-    "stats.json": "9b3411dc272af1e9a44d92884d5b5304734a3a4768d0fa5eb37a34a27c65d532",
-    "stats.text": "12feb50848392366632a025808638a6aa549c58a26d74a3838775318fb9ef26c",
+    "per_department.model.json": "c5f3cc964a4ba0d73f82b53853f5dc5a0abb058800d3eef97e4d6a886046913a",
+    "per_department.refined.csv": "0b96c5488298c418f7bd63aaf65b3080977f5a7a5751048d4eb38d641c5cfe4c",
+    "pooled.model.json": "31a402740d210c1f3606f99c505d12bffc5505bf719e49a96b1f157fa259df47",
+    "pooled.refined.csv": "0b96c5488298c418f7bd63aaf65b3080977f5a7a5751048d4eb38d641c5cfe4c",
+    "refine.per_department.csv": "6376319189428f736db2dbeab3dcb165d2abdf118cedf7be006c6a10c321b206",
+    "refine.per_department.json": "b2b79ee60cc76fbe41f6e5f9825b42d25f5fed99d4658f88cb5b53acb9e20e41",
+    "refine.per_department.text": "6461550f8e00065c9762a4c4b54439e64fe501748f50481180134a8eae5eaf11",
+    "refine.pooled.csv": "81e0bfe0e0aff2771afb3fc34831c426a011cb3fc6bd22011938882478063e49",
+    "refine.pooled.json": "d4abb4b78cf291c473f690f1026f7f7c15b69b4a30a8294eb1e74274dd7b19ba",
+    "refine.pooled.text": "468b342427cf267b657fa9a8f87db842b29ff969f65facb7c0a01a5d23b84d1e",
+    "stats.csv": "24753983190b51af44ba527454e42b9186b9ea6f375bb4b6ef7f054b629c4b6a",
+    "stats.json": "a1d923ccb1d560d2e88b462e467faffca996d9ae6080fefcebb12767307f4be0",
+    "stats.text": "0515ab7785645a2dd6409cf00e0921eadefc2f77b619f09991018c98f5d7d55f",
     "validate.csv": "32967663fd4f7854bd247919d524434235d1047d50637dee9d10b84cc0131875",
     "validate.json": "09844823c0d618c282495b6a1a77200ed0b52405b746057b777135c652e3f180",
     "validate.text": "c85ea6a66a0e03bef679281bd03469cc6f198b2a578cfadeea381258e42cbbdc",
 }
 
 GOLDEN_DIRTY = {
-    "evaluate.csv": "62b3e2f7eeee9aba2f8492fdf3ba0a89093eaffc8b8bba267fb4596d9cc9acc7",
-    "evaluate.json": "38f6c0c8004ef697a789410b2996d1949516b2e7d5140317a80f4b1eb428508f",
-    "evaluate.text": "308b21124509e7699a3c5e067373f9c2a8c40c6e90d4633749d90ae18fd925c8",
-    "per_department.model.json": "bbc88a44dc5654592abfe47d4c5f63c059c7cd2a7c36b076df819c0ef1993045",
-    "per_department.refined.csv": "b0162794478e7d44a4091fbd12b1a2c996f179e8486665528d42fb171be65a35",
-    "pooled.model.json": "b4fab20e51c361584aaa0b2c248c7b3b7a9e5418914c93ecdb57879004eef71d",
-    "pooled.refined.csv": "b0162794478e7d44a4091fbd12b1a2c996f179e8486665528d42fb171be65a35",
-    "refine.per_department.csv": "225023df8def5e757869c27b8c8b749f47f109edc42d364aa174b84d814f12a4",
-    "refine.per_department.json": "a6e1c173556975a7b04839b84e0103b75823f42086b335c859b56c9c8c4d5629",
-    "refine.per_department.text": "8b657072f60cee9331203a364b2926fb13a338728a0bf46e5357cd031cc3ef3b",
-    "refine.pooled.csv": "f53658b9cceac4e1ecf91f9006f68d304fe8653332d21565719acfaad476c417",
-    "refine.pooled.json": "ac80a69d0845363af4fa8ea159ee4c7c402b6e8e34931f7ffa2e4915d9ffaaea",
-    "refine.pooled.text": "c4235d117a2be64300983dd2a08d2549981cc7d996232792565ec02312c4b048",
-    "stats.csv": "5b8005a4d1b2fa4f45a45326201b5f11a9168107f518e2c0e64a3374a5d55d76",
-    "stats.json": "b05c8dd1ddb071e22e59d4a82f2b2c2915d81f39dcf46b722ca5620386ea5eca",
-    "stats.text": "66fde8c835c7017f62836fbdde42fa7dacfa9b490757878346c35f243bb64318",
+    "evaluate.csv": "b83fb0c52172a644ba0ca1803d58b5d878b6198edce139f4b1d52ab37c0056ca",
+    "evaluate.json": "8f0887280af5bca96cc6745f01276cbfa5f2cc0ea57ddfead2d28501763c4aa0",
+    "evaluate.text": "947e7ae625a1220f36905d453287e66b0f21094114b7f34980f58b54f06822b0",
+    "per_department.model.json": "59c4a73ce9f1f4599ca21cea4b94015b5ffb6adf63a1aae07f10282ea99f14c6",
+    "per_department.refined.csv": "73a3e75606f0c768e2de6a48c1cb1428eb5ed9e0428b09d9be7a6c340e26424b",
+    "pooled.model.json": "a88fa9a2f5e75545fe979682d2e9de3a17b24871bc59c0b2d44e050bfe690772",
+    "pooled.refined.csv": "73a3e75606f0c768e2de6a48c1cb1428eb5ed9e0428b09d9be7a6c340e26424b",
+    "refine.per_department.csv": "c6c2ce4496bad006076a5d0da914f84a2a6efefa4fdddf24030ce35323c08206",
+    "refine.per_department.json": "f9d9909f2091c584a61db853d9e53b343f1c782eb4dc6602b2ccd70ed47dbc5e",
+    "refine.per_department.text": "0bf4a7d979d96f49c69aef5bdb14bc6a1f5409931d0113ffceaa518f911e889e",
+    "refine.pooled.csv": "8e6d97b34f6e576977923cc4c49ec79e5ca25476964c667547e738595626b1ce",
+    "refine.pooled.json": "9c9b84dbcd165aeab5314317d0e07fceceba34f2717bd8fa209c93f06be2cbc6",
+    "refine.pooled.text": "d0833a07b5044e44ca0628e293884976ae66182d1d6a6f019b9f3b9d211ac1fd",
+    "stats.csv": "a3c307d3a81cb02a2dec7e753fa5972c2a5df85d96e310f362ce857d72858170",
+    "stats.json": "adca84684f966fff43a98f91ae583be77619f98a5cd79be1e2a2b2c4faef32da",
+    "stats.text": "8327cc7642197b9da1f593ec3c7b3e7e500cc9618602d28a47a19eaaea7b1d55",
     # the deduplicate and missing_policy stages name CSV data rows, not
     # positions among the rows the parse accepted
-    "validate.csv": "04ed1b20b937d5ead4cb409d4b71c2f4bbff256824cd539e819754b16283523a",
-    "validate.json": "8e78cc9f1722a589c5d8cb4261ea1656d2e4b93e1829bdb1153667ce24c67d78",
-    "validate.text": "e5e51a4eb2b7f52f85f62f0936b85d1ddd5aceca38e0e3cd0b794df2ac0aff92",
+    "validate.csv": "6d2b03f379a08912908cf5fc030272cbe374f1660909cb27e76587b9cec881aa",
+    "validate.json": "efb64c1878929fe7142e3bd9d1fbc2dbed394b96d7b347709e0709a1c3cf12a4",
+    "validate.text": "0f72e7a4080c7d2243c1531d5d5d792a54421fc92557390d4742a081105869f7",
 }
 
 
