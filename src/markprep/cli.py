@@ -24,9 +24,10 @@ from typing import IO, TYPE_CHECKING, Callable, ContextManager, Iterable, Iterat
 
 import click
 
-# Only modules that load no numpy are imported here, so that `validate`,
-# `stats` and `--help` start without it; the commands that compute with
-# numpy import evaluation, forest, refine and synthgen in their bodies.
+# No module imports numpy at its top: refine and evaluation load it inside
+# the functions that fit and score, so only `refine` and `evaluate` load
+# it.  Each command imports evaluation, forest, refine or synthgen in its
+# body, so that it loads only the modules it runs.
 from . import __version__
 from .core import (
     DEFAULT_BANDING,

@@ -3,13 +3,14 @@ one-vs-rest AUC, and the with/without-ratio comparison.
 
 The headline error rate follows the source convention: error rate is
 1 - overall AUC, not 1 - accuracy.
+
+numpy is imported only inside the functions that compute with it, so
+reading a saved report back (``report``) loads no numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import (
     DEFAULT_BANDING,
@@ -34,6 +35,9 @@ from .forest import (
     proba_matrix,
     train_forest,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CAR_COLUMN = "mean_car"
 
@@ -166,6 +170,8 @@ def confusion_matrix(
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties sharing their average rank."""
+    import numpy as np
+
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
@@ -176,6 +182,8 @@ def auc_binary(scores: Sequence[float], labels: Sequence[bool]) -> float:
     Rank-based Mann-Whitney form; identical to the exhaustive pairwise
     count and to the trapezoidal area under the ROC curve.
     """
+    import numpy as np
+
     scores_arr = np.asarray(scores, dtype=float)
     labels_arr = np.asarray(labels, dtype=bool)
     if scores_arr.shape != labels_arr.shape:
@@ -199,6 +207,8 @@ def auc_multiclass(
     ``weighted`` weighs per-band AUCs by band prevalence; ``macro``
     weighs them equally.  Bands absent from ``labels`` are excluded.
     """
+    import numpy as np
+
     if average not in ("weighted", "macro"):
         raise ValueError(f"average must be 'weighted' or 'macro', got {average!r}")
     probs = np.asarray(probabilities, dtype=float)
@@ -303,6 +313,8 @@ def evaluate_forest(
     average: str = "weighted",
 ) -> EvaluationReport:
     """Score a trained forest on labeled rows."""
+    import numpy as np
+
     if not rows:
         raise ValueError("cannot evaluate on zero rows")
     probabilities = proba_matrix(model, np.array([row.features for row in rows], dtype=float))

@@ -10,6 +10,9 @@ The intercept is the ratio-independent baseline and is never subtracted,
 so a purely exam-assessed module (CAR 0) keeps its mark unchanged.  The
 reference coefficient pair (12.77, -5.873) reproduces the published
 refinement rule exactly.
+
+numpy is imported only inside ``fit_polynomial``, so reading a saved
+model back (``report``) loads no numpy.
 """
 from __future__ import annotations
 
@@ -18,8 +21,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
-
-import numpy as np
 
 from .core import StudentModuleOutcome, read_count, read_fields, read_number, read_string
 from .fixtures import REFERENCE_R_SQUARED_QUADRATIC
@@ -145,6 +146,8 @@ def fit_polynomial(
         raise SingularFitError(
             f"need at least {degree + 1} points for degree {degree}, got {len(ratios)}"
         )
+    import numpy as np
+
     x = np.array(ratios, dtype=float)
     y = np.array(marks, dtype=float)
     design = np.vander(x, degree + 1, increasing=True)

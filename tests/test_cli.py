@@ -540,17 +540,25 @@ def test_non_utf8_input_is_usage_error(cohort: Path, refined: Path, tmp_path: Pa
         ("evaluate", "--help"),
         ("evaluate", "--from-fixture"),
         ("evaluate", "--from-fixture", "--format", "json"),
+        ("generate", "--students", "10", "--out", "{dir}/generated.csv"),
+        ("report", "{dir}/cohort.model.json"),
+        ("report", "{dir}/evaluation.json"),
     ],
-    ids=["validate", "stats", "help", "evaluate-help", "evaluate-fixture", "evaluate-fixture-json"],
+    ids=[
+        "validate", "stats", "help", "evaluate-help", "evaluate-fixture", "evaluate-fixture-json",
+        "generate", "report-model", "report-evaluation",
+    ],
 )
-def test_command_runs_without_numpy(cohort: Path, args) -> None:
+def test_command_runs_without_numpy(cohort: Path, refined: Path, args) -> None:
+    evaluation = refined.with_name("evaluation.json")
+    run("evaluate", str(refined), "--trees", "3", "--format", "json", "--output", str(evaluation))
     probe = (
         "import atexit, sys\n"
         "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
         "from markprep.cli import main\n"
         "main(sys.argv[1:], prog_name='markprep')\n"
     )
-    result = run_python("-c", probe, *[arg.format(cohort=cohort) for arg in args])
+    result = run_python("-c", probe, *[arg.format(cohort=cohort, dir=cohort.parent) for arg in args])
     assert result.returncode == 0, result.stderr
     assert result.stderr.endswith("False\n")
 
