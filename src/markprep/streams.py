@@ -11,8 +11,8 @@ trees leaves previously generated values untouched.
 Every transform from 64-bit words to draws lives here, and each takes
 a fixed number of words:
 
-- :func:`uniform`: one word, ``(w >> 11) * 2**-53``, which equals
-  numpy's ``Generator.random()`` on the same stream;
+- :func:`uniform`: one word, ``(w >> 11) * 2**-53``, which equals the
+  float numpy's ``random()`` method draws from the same PCG64;
 - :func:`bounded`: one word, ``(w * k) >> 64``, Lemire's multiply-shift
   (ACM TOMACS 2019) without the rejection step, so the bias is at most
   k / 2**64;
@@ -21,8 +21,8 @@ a fixed number of words:
   Fisher-Yates shuffle of ``range(n)``.
 
 Because the byte output depends only on these formulas and on PCG64,
-it does not depend on numpy, nor on the algorithms of numpy's
-``Generator`` methods.
+it depends neither on numpy nor on the algorithms of numpy's sampling
+methods, which numpy does not promise to keep across releases.
 """
 from __future__ import annotations
 
@@ -60,38 +60,37 @@ def _uint32_words(value: int) -> list[int]:
 
 
 def _seed_state(seed: int, key: Sequence[int]) -> tuple[int, int]:
-    """PCG64's (initstate, initseq) from ``SeedSequence(seed, spawn_key=key)``.
-
-    The hash steps are written out inline: this runs once per stream.
-    """
+    """PCG64's (initstate, initseq) from ``SeedSequence(seed, spawn_key=key)``."""
     entropy = _uint32_words(seed)
     spawn = [word for part in key for word in _uint32_words(part)]
     if spawn and len(entropy) < _POOL_SIZE:
         entropy += [0] * (_POOL_SIZE - len(entropy))
     entropy += spawn
 
-    # mix_entropy: hash each of the first four words into the pool, hash
-    # every pool word into every other, then mix in the remaining words.
     # The hash constant advances with every hash, whatever its input.
     hash_const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        value = (entropy[i] if i < len(entropy) else 0) ^ hash_const
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
         hash_const = (hash_const * _MULT_A) & _MASK32
         value = (value * hash_const) & _MASK32
-        pool.append(value ^ (value >> _XSHIFT))
-    sources = [(pool_index, None) for pool_index in range(_POOL_SIZE)]
-    sources += [(None, value) for value in entropy[_POOL_SIZE:]]
-    for pool_index, value in sources:
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    # mix_entropy: hash the first four words into the pool, hash every
+    # pool word into every other, then mix in the remaining words
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
-            if dst == pool_index:
-                continue
-            hashed = (pool[pool_index] if value is None else value) ^ hash_const
-            hash_const = (hash_const * _MULT_A) & _MASK32
-            hashed = (hashed * hash_const) & _MASK32
-            hashed ^= hashed >> _XSHIFT
-            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
-            pool[dst] = mixed ^ (mixed >> _XSHIFT)
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(value))
 
     # generate_state(4, uint64): eight 32-bit words cycled from the pool,
     # paired little-endian into four 64-bit words

@@ -108,6 +108,13 @@ def test_train_forest_validates_max_features() -> None:
         train_forest(rows, ForestParams(tree_count=2, max_features=3), seed=1)
 
 
+def test_train_forest_rejects_rows_of_unequal_arity() -> None:
+    rows = blob_rows(np.random.default_rng(0), n=30)
+    rows[7] = FeatureRow("short", rows[7].features[:1], rows[7].label)
+    with pytest.raises(ValueError, match="same number of features"):
+        train_forest(rows, ForestParams(tree_count=2), seed=1)
+
+
 def test_forest_params_validation() -> None:
     with pytest.raises(ValueError):
         ForestParams(tree_count=0)
