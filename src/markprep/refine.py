@@ -11,15 +11,18 @@ so a purely exam-assessed module (CAR 0) keeps its mark unchanged.  The
 reference coefficient pair (12.77, -5.873) reproduces the published
 refinement rule exactly.
 
-numpy is imported only inside ``fit_polynomial``, so reading a saved
-model back (``report``) loads no numpy.
+The fit solves the normal equations exactly in rational arithmetic and
+rounds each coefficient once, so the coefficients are the correctly
+rounded least-squares solution on every platform.
 """
 from __future__ import annotations
 
+import math
 import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 from .core import StudentModuleOutcome, read_count, read_fields, read_number, read_string
@@ -135,10 +138,13 @@ def fit_polynomial(
     """OLS fit of each mark on {1, car} or {1, car, car^2}, where
     ``ratios[i]`` is the car of ``marks[i]``.
 
-    Solved via singular-value decomposition, not normal equations: car
-    and car^2 are strongly collinear on [0, 1].  R-squared is
-    1 - SS_res/SS_tot, defined as 1 when SS_tot is zero (a constant
-    response is fitted exactly thanks to the intercept column).
+    The normal equations are built from exact sums and solved in
+    rational arithmetic, and each coefficient is rounded to a float
+    once.  So the collinearity of car and car^2 on [0, 1] costs no
+    precision, and the result does not depend on a linear-algebra
+    library.  R-squared is 1 - SS_res/SS_tot over the float residuals,
+    defined as 1 when SS_tot is zero (a constant response is fitted
+    exactly thanks to the intercept column).
     """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
@@ -146,33 +152,80 @@ def fit_polynomial(
         raise SingularFitError(
             f"need at least {degree + 1} points for degree {degree}, got {len(ratios)}"
         )
-    import numpy as np
+    return _fit_groups(_RatioGroups(ratios, marks), degree)
 
-    x = np.array(ratios, dtype=float)
-    y = np.array(marks, dtype=float)
-    design = np.vander(x, degree + 1, increasing=True)
-    coefficients, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < degree + 1:
+
+def _exact_sum(values: Sequence[float]) -> Fraction:
+    """The exact sum of floats: each is an integer over a power of two,
+    so the numerators add exactly per denominator and then over the
+    largest one."""
+    numerators: defaultdict[int, int] = defaultdict(int)
+    for value in values:
+        numerator, denominator = value.as_integer_ratio()
+        numerators[denominator] += numerator
+    common = max(numerators)
+    return Fraction(sum(n * (common // d) for d, n in numerators.items()), common)
+
+
+class _RatioGroups:
+    """The marks grouped by ratio value, with the exact sums the normal
+    equations of either degree are built from."""
+
+    def __init__(self, ratios: Sequence[float], marks: Sequence[float]) -> None:
+        groups: defaultdict[float, list[float]] = defaultdict(list)
+        for car, mark in zip(ratios, marks):
+            groups[car].append(mark)
+        self.groups = groups
+        self.count = len(marks)
+        exact = [(Fraction(car), len(group), _exact_sum(group)) for car, group in groups.items()]
+        # the sums of car^k over the records, k = 0..4, and of mark * car^k,
+        # k = 0..2: the normal equations' matrix and right-hand side
+        self.moments = [sum(n * car**k for car, n, _ in exact) for k in range(5)]
+        self.targets = [sum(total * car**k for car, _, total in exact) for k in range(3)]
+        mean = float(self.targets[0] / self.count)
+        self.ss_tot = math.fsum((mark - mean) ** 2 for mark in marks)
+
+
+def _fit_groups(data: _RatioGroups, degree: int) -> RefinementModel:
+    """The exact OLS solution of one degree, rounded once per coefficient."""
+    if len(data.groups) < degree + 1:
         raise SingularFitError(
             f"rank-deficient design for degree {degree}: "
-            f"{np.unique(x).size} distinct ratio value(s)"
+            f"{len(data.groups)} distinct ratio value(s)"
         )
-    residual = y - design @ coefficients
-    ss_res = float(residual @ residual)
-    centered = y - y.mean()
-    ss_tot = float(centered @ centered)
-    if ss_tot == 0.0:
+    # Gaussian elimination on the augmented normal equations; the matrix
+    # is positive definite, so every pivot is non-zero without swaps
+    size = degree + 1
+    rows = [[*data.moments[i : i + size], data.targets[i]] for i in range(size)]
+    for col in range(size):
+        for row in rows[col + 1 :]:
+            factor = row[col] / rows[col][col]
+            row[:] = [a - factor * b for a, b in zip(row, rows[col])]
+    solution: list[Fraction] = [Fraction(0)] * size
+    for col in reversed(range(size)):
+        rest = sum(rows[col][k] * solution[k] for k in range(col + 1, size))
+        solution[col] = (rows[col][size] - rest) / rows[col][col]
+    coefficients = [float(value) for value in solution] + [0.0] * (2 - degree)
+    b0, b1, b2 = coefficients
+
+    ss_res = math.fsum(
+        (mark - fitted) ** 2
+        for car, group in data.groups.items()
+        for fitted in (b0 + b1 * car + b2 * (car * car),)
+        for mark in group
+    )
+    if data.ss_tot == 0.0:
         r_squared = 1.0
     else:
         # clamp away float dust; with an intercept the true value is in [0, 1]
-        r_squared = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+        r_squared = min(1.0, max(0.0, 1.0 - ss_res / data.ss_tot))
     return RefinementModel(
-        intercept=float(coefficients[0]),
-        linear=float(coefficients[1]),
-        quadratic=float(coefficients[2]) if degree == 2 else 0.0,
+        intercept=b0,
+        linear=b1,
+        quadratic=b2,
         r_squared=r_squared,
         model_kind=ModelKind.QUADRATIC if degree == 2 else ModelKind.LINEAR,
-        n_observations=len(ratios),
+        n_observations=data.count,
     )
 
 
@@ -215,15 +268,16 @@ def _fit_with_fallback(
     ratios: Sequence[float], marks: Sequence[float]
 ) -> tuple[RefinementModel, RefinementModel | None, RefinementModel | None, list[str]]:
     """Select a model, degrading gracefully when ratios lack variety."""
-    distinct = len(set(ratios))
+    data = _RatioGroups(ratios, marks)
+    distinct = len(data.groups)
     if distinct >= 3:
-        linear = fit_polynomial(ratios, marks, 1)
-        quadratic = fit_polynomial(ratios, marks, 2)
+        linear = _fit_groups(data, 1)
+        quadratic = _fit_groups(data, 2)
         kind = choose_model_kind(linear.r_squared, quadratic.r_squared)
         selected = quadratic if kind is ModelKind.QUADRATIC else linear
         return selected, linear, quadratic, []
     if distinct == 2:
-        linear = fit_polynomial(ratios, marks, 1)
+        linear = _fit_groups(data, 1)
         return linear, linear, None, [
             "only 2 distinct coursework ratios; fitted the linear model only"
         ]

@@ -31,15 +31,15 @@ GOLDEN = {
     "evaluate.pooled.json": "147ca79a5fb341c5c42e2700679092c40e32c155cded3746cca1ff9686b7bc33",
     "evaluate.pooled.text": "252d90f9fe3423d664edab829e686e84bbc1f1bd77ca21b682e5d1e65cc27c53",
     "generate": "7749b720ee24516cd760387e83d9482d1e14ebf36c878b0b1fbc88b0d1be3712",
-    "per_department.model.json": "c5f3cc964a4ba0d73f82b53853f5dc5a0abb058800d3eef97e4d6a886046913a",
-    "per_department.refined.csv": "0b96c5488298c418f7bd63aaf65b3080977f5a7a5751048d4eb38d641c5cfe4c",
-    "pooled.model.json": "31a402740d210c1f3606f99c505d12bffc5505bf719e49a96b1f157fa259df47",
-    "pooled.refined.csv": "0b96c5488298c418f7bd63aaf65b3080977f5a7a5751048d4eb38d641c5cfe4c",
-    "refine.per_department.csv": "6376319189428f736db2dbeab3dcb165d2abdf118cedf7be006c6a10c321b206",
-    "refine.per_department.json": "b2b79ee60cc76fbe41f6e5f9825b42d25f5fed99d4658f88cb5b53acb9e20e41",
+    "per_department.model.json": "42dcd2cf6997e0bb468520b1c12464d3ec34a3ee868be5e3e0bf9c58d8233d65",
+    "per_department.refined.csv": "1386fa77ba3b0f5764c9691cf31cc6d7d11fe4ae6a7b27111909a411531a59fd",
+    "pooled.model.json": "3503dd730e9797337e3690faeee9749d05f09cb1e7d4bc377608a808445c872f",
+    "pooled.refined.csv": "1386fa77ba3b0f5764c9691cf31cc6d7d11fe4ae6a7b27111909a411531a59fd",
+    "refine.per_department.csv": "d20a75d394b3369637295e63647732878e76b15b36d05a6abee2ba1171fb0965",
+    "refine.per_department.json": "26ca3f9cb21daa859bedf0b11e382f66e9b876393b76b93d5e161dbed12e9300",
     "refine.per_department.text": "6461550f8e00065c9762a4c4b54439e64fe501748f50481180134a8eae5eaf11",
-    "refine.pooled.csv": "81e0bfe0e0aff2771afb3fc34831c426a011cb3fc6bd22011938882478063e49",
-    "refine.pooled.json": "d4abb4b78cf291c473f690f1026f7f7c15b69b4a30a8294eb1e74274dd7b19ba",
+    "refine.pooled.csv": "5d48af4b5c514242f85c5f181bfd8f3ff29bd1f273060e9f8aeb2a9a06867622",
+    "refine.pooled.json": "bc036c78c0266c7bbe4fb972d4d39b7f2fb362521f4a4a50a2ea374049fee140",
     "refine.pooled.text": "468b342427cf267b657fa9a8f87db842b29ff969f65facb7c0a01a5d23b84d1e",
     "stats.csv": "24753983190b51af44ba527454e42b9186b9ea6f375bb4b6ef7f054b629c4b6a",
     "stats.json": "a1d923ccb1d560d2e88b462e467faffca996d9ae6080fefcebb12767307f4be0",
@@ -53,15 +53,15 @@ GOLDEN_DIRTY = {
     "evaluate.csv": "b83fb0c52172a644ba0ca1803d58b5d878b6198edce139f4b1d52ab37c0056ca",
     "evaluate.json": "8f0887280af5bca96cc6745f01276cbfa5f2cc0ea57ddfead2d28501763c4aa0",
     "evaluate.text": "947e7ae625a1220f36905d453287e66b0f21094114b7f34980f58b54f06822b0",
-    "per_department.model.json": "59c4a73ce9f1f4599ca21cea4b94015b5ffb6adf63a1aae07f10282ea99f14c6",
-    "per_department.refined.csv": "73a3e75606f0c768e2de6a48c1cb1428eb5ed9e0428b09d9be7a6c340e26424b",
-    "pooled.model.json": "a88fa9a2f5e75545fe979682d2e9de3a17b24871bc59c0b2d44e050bfe690772",
-    "pooled.refined.csv": "73a3e75606f0c768e2de6a48c1cb1428eb5ed9e0428b09d9be7a6c340e26424b",
-    "refine.per_department.csv": "c6c2ce4496bad006076a5d0da914f84a2a6efefa4fdddf24030ce35323c08206",
-    "refine.per_department.json": "f9d9909f2091c584a61db853d9e53b343f1c782eb4dc6602b2ccd70ed47dbc5e",
+    "per_department.model.json": "1cb1e65fd8d78287007c14d23326d970594d1a26e1bf597c7a1838a70c25a1d5",
+    "per_department.refined.csv": "fa6c7c4068ee4b47f2c1813f0c92679e9a13d026dc95c7eda8a0bbf69704e242",
+    "pooled.model.json": "1b86cf1cea7c46700b9d3899af0806081858f7dd1b09370ff53f5ae6992f41a9",
+    "pooled.refined.csv": "fa6c7c4068ee4b47f2c1813f0c92679e9a13d026dc95c7eda8a0bbf69704e242",
+    "refine.per_department.csv": "76dacd2d485276deff60d266c310f4108aab090c523f25954a5ac86db710ed9b",
+    "refine.per_department.json": "096d485b71dd2b2427f2491716608b134c2f74176af9c51e65610a35a0f7d3b0",
     "refine.per_department.text": "0bf4a7d979d96f49c69aef5bdb14bc6a1f5409931d0113ffceaa518f911e889e",
-    "refine.pooled.csv": "8e6d97b34f6e576977923cc4c49ec79e5ca25476964c667547e738595626b1ce",
-    "refine.pooled.json": "9c9b84dbcd165aeab5314317d0e07fceceba34f2717bd8fa209c93f06be2cbc6",
+    "refine.pooled.csv": "a227a4bec901cb3eeefd4a7ce7ec28d2be8219ef4ffc5294ffee7efa78d15d3f",
+    "refine.pooled.json": "9795a7f96891ed2f90cf2a6645377625d55ce5a296e00e8d95e1eeac46f2ac42",
     "refine.pooled.text": "d0833a07b5044e44ca0628e293884976ae66182d1d6a6f019b9f3b9d211ac1fd",
     "stats.csv": "a3c307d3a81cb02a2dec7e753fa5972c2a5df85d96e310f362ce857d72858170",
     "stats.json": "adca84684f966fff43a98f91ae583be77619f98a5cd79be1e2a2b2c4faef32da",

@@ -1,6 +1,8 @@
 """Polynomial fitting, model selection, and mark refinement."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from markprep import (
     RefinementModel,
     SingularFitError,
     choose_model_kind,
+    default_cohort_spec,
     fit_polynomial,
+    generate_cohort,
     reference_model,
     refine_mark,
     run_refinement_pipeline,
@@ -77,13 +81,91 @@ def test_constant_response_gives_unit_r_squared() -> None:
 
 
 def test_fit_survives_tight_ratio_clusters() -> None:
-    # car and car^2 nearly collinear: normal equations would blow up here
+    # car and car^2 nearly collinear: float normal equations would lose
+    # the fit here, exact ones do not
     cars = [0.50, 0.500001, 0.499999, 0.5000005, 0.93]
     ratios, marks = quad_points(cars, 20.0, 12.77, -5.873)
     model = fit_polynomial(ratios, marks, 2)
     for car, mark in zip(ratios, marks):
         predicted = model.intercept + model.decrement(car)
         assert predicted == pytest.approx(mark, abs=1e-5)
+
+
+def determinant(matrix: list[list[Fraction]]) -> Fraction:
+    """Laplace expansion along the first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum(
+        (-1) ** col * matrix[0][col] * determinant([row[:col] + row[col + 1 :] for row in matrix[1:]])
+        for col in range(len(matrix))
+    )
+
+
+def rational_ols(ratios: list[float], marks: list[float], degree: int) -> tuple[float, float, float]:
+    """Reference: the OLS coefficients from per-record rational sums, by
+    Cramer's rule, each rounded to a float once."""
+    size = degree + 1
+    xs, ys = [Fraction(car) for car in ratios], [Fraction(mark) for mark in marks]
+    gram = [[sum(x ** (i + j) for x in xs) for j in range(size)] for i in range(size)]
+    rhs = [sum(y * x**i for x, y in zip(xs, ys)) for i in range(size)]
+    det = determinant(gram)
+    solution = [
+        float(determinant([[*row[:k], rhs[i], *row[k + 1 :]] for i, row in enumerate(gram)]) / det)
+        for k in range(size)
+    ]
+    return (*solution, 0.0) if degree == 1 else tuple(solution)
+
+
+def assert_exact_ols(ratios: list[float], marks: list[float], degree: int) -> RefinementModel:
+    model = fit_polynomial(ratios, marks, degree)
+    assert (model.intercept, model.linear, model.quadratic) == rational_ols(ratios, marks, degree)
+    return model
+
+
+def test_fit_is_the_rational_ols_rounded_once_fuzz() -> None:
+    rng = np.random.default_rng(4242)
+    for case in range(120):
+        n = int(rng.integers(3, 80))
+        if case % 3:
+            # a few ratio classes, as in transcripts, with 2-decimal marks
+            classes = rng.choice([0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 1.0], int(rng.integers(3, 7)), replace=False)
+            cars = rng.choice(classes, n)
+            cars[:3] = classes[:3]
+            marks = np.round(rng.uniform(0, 100, n), 2)
+        else:
+            # every ratio distinct, marks of any magnitude
+            cars = rng.uniform(0, 1, n)
+            marks = rng.uniform(-1e6, 1e6, n) * 10.0 ** rng.integers(-8, 3)
+        for degree in (1, 2):
+            assert_exact_ols(cars.tolist(), marks.tolist(), degree)
+
+
+def test_fit_is_exact_on_tight_clusters_constant_and_two_ratio_data() -> None:
+    cars = [0.50, 0.500001, 0.499999, 0.5000005, 0.93]
+    ratios, marks = quad_points(cars, 20.0, 12.77, -5.873)
+    assert_exact_ols(ratios, marks, 2)
+    constant = assert_exact_ols([0.0, 0.3, 0.6, 1.0], [63.0] * 4, 2)
+    assert (constant.intercept, constant.linear, constant.quadratic, constant.r_squared) == (63.0, 0.0, 0.0, 1.0)
+    two = ([0.2, 0.8, 0.2, 0.8, 0.8], [50.1, 60.7, 55.3, 61.9, 58.45])
+    linear = assert_exact_ols(*two, 1)
+    # the line passes through both group means
+    assert linear.intercept + linear.linear * 0.2 == pytest.approx((50.1 + 55.3) / 2, abs=1e-12)
+    with pytest.raises(SingularFitError, match="rank-deficient design for degree 2: 2 distinct ratio value"):
+        fit_polynomial(*two, 2)
+
+
+def test_fit_agrees_with_lstsq_on_generated_cohorts() -> None:
+    # the cohorts of acceptance criterion 06
+    for seed in range(20):
+        records = generate_cohort(default_cohort_spec(seed, student_count=334))
+        ratios = [record.car for record in records]
+        marks = [record.module_mark for record in records]
+        for degree in (1, 2):
+            model = fit_polynomial(ratios, marks, degree)
+            design = np.vander(np.array(ratios), degree + 1, increasing=True)
+            expected, *_ = np.linalg.lstsq(design, np.array(marks), rcond=None)
+            got = (model.intercept, model.linear, model.quadratic)[: degree + 1]
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0), (seed, degree, got, expected)
 
 
 def test_r_squared_nesting_fuzz() -> None:
