@@ -3,14 +3,11 @@ one-vs-rest AUC, and the with/without-ratio comparison.
 
 The headline error rate follows the source convention: error rate is
 1 - overall AUC, not 1 - accuracy.
-
-numpy is imported only inside the functions that compute with it, so
-reading a saved report back (``report``) loads no numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     DEFAULT_BANDING,
@@ -35,9 +32,6 @@ from .forest import (
     proba_matrix,
     train_forest,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CAR_COLUMN = "mean_car"
 
@@ -168,12 +162,33 @@ def confusion_matrix(
     return ConfusionMatrix(BAND_ORDER, tuple(tuple(row) for row in counts))
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1, ties sharing their average rank."""
-    import numpy as np
+def _midranks(values: Sequence[float]) -> list[float]:
+    """Ranks starting at 1, ties sharing their average rank.
 
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    Equal values form one run of a stable sort; the run over sorted
+    positions i..j-1 shares the rank (i + j + 1) / 2.  Every rank is a
+    multiple of 0.5, so sums of ranks are exact in any order.
+    """
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        value, end = values[order[start]], start + 1
+        while end < len(order) and values[order[end]] == value:
+            end += 1
+        rank = (start + end + 1) / 2.0
+        for position in order[start:end]:
+            ranks[position] = rank
+        start = end
+    return ranks
+
+
+def _float_column(values: Iterable[float], name: str) -> list[float]:
+    """``values`` as a list of floats; ValueError unless it is 1-D."""
+    try:
+        return [float(value) for value in values]
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of numbers") from None
 
 
 def auc_binary(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -182,23 +197,20 @@ def auc_binary(scores: Sequence[float], labels: Sequence[bool]) -> float:
     Rank-based Mann-Whitney form; identical to the exhaustive pairwise
     count and to the trapezoidal area under the ROC curve.
     """
-    import numpy as np
-
-    scores_arr = np.asarray(scores, dtype=float)
-    labels_arr = np.asarray(labels, dtype=bool)
-    if scores_arr.shape != labels_arr.shape:
+    scores = _float_column(scores, "scores")
+    labels = [bool(label) for label in _float_column(labels, "labels")]
+    if len(scores) != len(labels):
         raise ValueError("scores and labels must align")
-    n_pos = int(labels_arr.sum())
-    n_neg = len(labels_arr) - n_pos
+    n_pos = sum(labels)
+    n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAucError("need at least one positive and one negative label")
-    ranks = _midranks(scores_arr)
-    rank_sum = float(ranks[labels_arr].sum())
+    rank_sum = sum(rank for rank, label in zip(_midranks(scores), labels) if label)
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def auc_multiclass(
-    probabilities: Sequence[Sequence[float]],
+    probabilities: Iterable[Iterable[float]],
     labels: Sequence[DegreeBand],
     average: str = "weighted",
 ) -> tuple[float, dict[DegreeBand, float]]:
@@ -207,25 +219,24 @@ def auc_multiclass(
     ``weighted`` weighs per-band AUCs by band prevalence; ``macro``
     weighs them equally.  Bands absent from ``labels`` are excluded.
     """
-    import numpy as np
-
     if average not in ("weighted", "macro"):
         raise ValueError(f"average must be 'weighted' or 'macro', got {average!r}")
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.ndim != 2 or probs.shape[1] != len(BAND_ORDER):
-        raise ValueError(
-            f"probabilities must be n x {len(BAND_ORDER)}, got shape {probs.shape}"
-        )
-    if probs.shape[0] != len(labels):
+    probs = [_float_column(row, "each probability row") for row in probabilities]
+    if any(len(row) != len(BAND_ORDER) for row in probs):
+        raise ValueError(f"every probability row must have {len(BAND_ORDER)} columns, one per band")
+    if len(probs) != len(labels):
         raise ValueError("probabilities and labels must align")
-    label_indexes = np.array([int(label) for label in labels])
-    present = [band for band in BAND_ORDER if (label_indexes == int(band)).any()]
+    label_indexes = [int(label) for label in labels]
+    counts = {band: label_indexes.count(int(band)) for band in BAND_ORDER}
+    present = [band for band in BAND_ORDER if counts[band]]
     if len(present) < 2:
         raise UndefinedAucError("need at least two bands in the labels")
 
-    per_class = {band: auc_binary(probs[:, int(band)], label_indexes == int(band)) for band in present}
-    counts = {band: int((label_indexes == int(band)).sum()) for band in present}
-    return _average_auc(per_class, counts, average), per_class
+    per_class = {
+        band: auc_binary([row[int(band)] for row in probs], [index == int(band) for index in label_indexes])
+        for band in present
+    }
+    return _average_auc(per_class, {band: counts[band] for band in present}, average), per_class
 
 
 def _average_auc(per_class: Mapping[DegreeBand, float], counts: Mapping[DegreeBand, int], average: str) -> float:
@@ -313,14 +324,12 @@ def evaluate_forest(
     average: str = "weighted",
 ) -> EvaluationReport:
     """Score a trained forest on labeled rows."""
-    import numpy as np
-
     if not rows:
         raise ValueError("cannot evaluate on zero rows")
-    probabilities = proba_matrix(model, np.array([row.features for row in rows], dtype=float))
-    # argmax returns the first maximum, and the columns are ordered worst
+    probabilities = proba_matrix(model, [row.features for row in rows])
+    # index() finds the first maximum, and the columns are ordered worst
     # band first, so equal probabilities resolve to the worse band
-    predictions = [DegreeBand(band) for band in np.argmax(probabilities, axis=1).tolist()]
+    predictions = [DegreeBand(row.index(max(row))) for row in probabilities]
     truths = [row.label for row in rows]
     _, per_class = auc_multiclass(probabilities, truths, average)
     return EvaluationReport(confusion_matrix(truths, predictions), per_class, average)

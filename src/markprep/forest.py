@@ -13,19 +13,16 @@ a tree's stream consumption is a fixed function of its data.
 Split thresholds sit at midpoints between consecutive distinct sorted
 feature values; rows with feature <= threshold go left.  ``proba_matrix``
 averages each row's leaf distributions over the trees; ``evaluate_forest``
-takes the argmax, breaking ties toward the worse band.
+takes the first maximum, breaking ties toward the worse band.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .core import DegreeBand
 from .streams import Stream, bounded, shuffled_prefix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _STREAM_HOLDOUT = 0
 _STREAM_TREE = 1
@@ -284,32 +281,39 @@ def train_forest(
     return ForestModel(tuple(build(t) for t in range(params.tree_count)), n_features)
 
 
-def proba_matrix(model: ForestModel, x_matrix: np.ndarray) -> np.ndarray:
+def proba_matrix(model: ForestModel, x_matrix: Iterable[Iterable[float]]) -> list[list[float]]:
     """Averaged leaf class frequencies, one row per row of ``x_matrix``.
 
     Columns follow band order worst-first.  Each tree routes all rows at
-    once; a row still adds its trees' leaf distributions in tree order.
+    once, so a row adds its trees' leaf shares in tree order.  Only a
+    leaf's non-zero shares are added: adding 0.0 to a non-negative total
+    moves no bit.
     """
-    import numpy as np
-
-    x_matrix = np.asarray(x_matrix, dtype=float)
-    if x_matrix.ndim != 2 or x_matrix.shape[1] != model.n_features:
-        raise ValueError(
-            f"feature matrix shape {x_matrix.shape} does not match model arity "
-            f"{model.n_features}"
-        )
-    accumulated = np.zeros((len(x_matrix), _N_BANDS))
+    try:
+        rows = [[float(value) for value in row] for row in x_matrix]
+    except TypeError:
+        raise ValueError("the feature matrix must be a sequence of feature rows") from None
+    if any(len(row) != model.n_features for row in rows):
+        raise ValueError(f"every feature row must have the model's {model.n_features} features")
+    columns = [list(column) for column in zip(*rows)]
+    accumulated = [[0.0] * _N_BANDS for _ in rows]
+    every_row = list(range(len(rows)))
     for tree in model.trees:
-        work = [(tree, np.arange(len(x_matrix)))]
+        work = [(tree, every_row)]
         while work:
-            node, rows = work.pop()
-            if not rows.size:
+            node, members = work.pop()
+            if not members:
                 continue
-            if node.is_leaf:
-                counts = np.array(node.counts, dtype=float)
-                accumulated[rows] += counts / counts.sum()
+            if node.counts is not None:
+                total = sum(node.counts)
+                for band, count in enumerate(node.counts):
+                    if count:
+                        share = count / total
+                        for row in members:
+                            accumulated[row][band] += share
                 continue
-            goes_left = x_matrix[rows, node.feature] <= node.threshold
-            work.append((node.right, rows[~goes_left]))
-            work.append((node.left, rows[goes_left]))
-    return accumulated / len(model.trees)
+            column, threshold = columns[node.feature], node.threshold
+            work.append((node.right, [row for row in members if not column[row] <= threshold]))
+            work.append((node.left, [row for row in members if column[row] <= threshold]))
+    trees = len(model.trees)
+    return [[total / trees for total in row] for row in accumulated]

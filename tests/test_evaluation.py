@@ -383,6 +383,38 @@ def test_auc_binary_equals_pairwise_count_fuzz() -> None:
         assert auc_binary(scores, labels) == pairwise / pairs
 
 
+@pytest.mark.parametrize(
+    ("scores", "labels"),
+    [
+        ([[1.0, 2.0], [3.0, 4.0]], [True, False]),
+        ([1.0, 2.0], [[True], [False]]),
+        ([1.0, 2.0, 3.0], [True, False]),
+        ([1.0, 2.0], [True, False, True]),
+    ],
+    ids=["2-D-scores", "2-D-labels", "more-scores", "more-labels"],
+)
+def test_auc_binary_rejects_misshapen_input(scores, labels) -> None:
+    with pytest.raises(ValueError, match="must"):
+        auc_binary(scores, labels)
+
+
+@pytest.mark.parametrize(
+    ("probabilities", "n_labels"),
+    [
+        ([1 / 6] * 6, 6),
+        ([[1 / 6] * 6, [0.5] * 2], 2),
+        ([[1 / 6] * 6, [1 / 7] * 7], 2),
+        ([[1 / 6] * 6] * 3, 2),
+        ([[1 / 6] * 6] * 2, 3),
+    ],
+    ids=["1-D", "ragged", "seven-columns", "more-rows", "more-labels"],
+)
+def test_auc_multiclass_rejects_misshapen_input(probabilities, n_labels: int) -> None:
+    labels = [DegreeBand.PASS, DegreeBand.FIRST, DegreeBand.THIRD, DegreeBand.PASS, DegreeBand.FIRST, DegreeBand.FAIL]
+    with pytest.raises(ValueError, match="must"):
+        auc_multiclass(probabilities, labels[:n_labels])
+
+
 def loop_midranks(values: np.ndarray) -> np.ndarray:
     """Reference: walk the stably sorted values, one tie run at a time."""
     order = np.argsort(values, kind="mergesort")
@@ -403,9 +435,9 @@ def test_midranks_equal_the_tie_run_loop() -> None:
         n = int(rng.integers(1, 60))
         # heavy ties, with -0.0 beside 0.0
         values = rng.integers(0, 4, n) * rng.choice([-1.0, 1.0], n) / rng.choice([1.0, 3.0, 7.0])
-        got = _midranks(values)
-        assert got.dtype == loop_midranks(values).dtype
-        assert np.array_equal(got, loop_midranks(values))
+        got = _midranks(values.tolist())
+        assert all(type(rank) is float for rank in got)
+        assert got == loop_midranks(values).tolist()
 
 
 def test_auc_multiclass_reduces_to_binary_for_two_bands() -> None:

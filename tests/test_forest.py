@@ -161,8 +161,8 @@ def test_probabilities_sum_to_one_over_all_bands() -> None:
     rows = blob_rows(np.random.default_rng(5), n=90)
     model = train_forest(rows, ForestParams(tree_count=7), seed=11)
     matrix = proba_matrix(model, np.array([row.features for row in rows]))
-    assert matrix.shape == (90, 6)
-    assert matrix.sum(axis=1) == pytest.approx(np.ones(90), abs=1e-12)
+    assert len(matrix) == 90 and {len(row) for row in matrix} == {6}
+    assert [sum(row) for row in matrix] == pytest.approx([1.0] * 90, abs=1e-12)
 
 
 def test_proba_matrix_checks_arity() -> None:
@@ -172,6 +172,19 @@ def test_proba_matrix_checks_arity() -> None:
         proba_matrix(model, np.array([(1.0, 2.0, 3.0)]))
     with pytest.raises(ValueError):
         proba_matrix(model, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "x_matrix",
+    [[1.0, 2.0], [(1.0, 2.0), (1.0,)], [(1.0, 2.0, 3.0)], [(1.0, 2.0), 3.0]],
+    ids=["1-D", "ragged", "wrong-arity", "scalar-row"],
+)
+def test_proba_matrix_rejects_rows_that_are_no_feature_matrix(x_matrix) -> None:
+    rows = blob_rows(np.random.default_rng(6), n=60)
+    model = train_forest(rows, ForestParams(tree_count=3), seed=1)
+    assert len(proba_matrix(model, [(1.0, 2.0), (3.0, 4.0)])) == 2
+    with pytest.raises(ValueError):
+        proba_matrix(model, x_matrix)
 
 
 def test_tied_leaf_counts_predict_the_worse_band() -> None:
