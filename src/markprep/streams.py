@@ -26,6 +26,7 @@ methods, which numpy does not promise to keep across releases.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -59,13 +60,17 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _seed_state(seed: int, key: Sequence[int]) -> tuple[int, int]:
-    """PCG64's (initstate, initseq) from ``SeedSequence(seed, spawn_key=key)``."""
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """``SeedSequence``'s pool after it has mixed in the seed's own words,
+    and the hash constant reached; shared by every key under one seed.
+
+    The seed's words are zero-padded to the pool size, as numpy pads them
+    when a key follows; without a key the pool reads missing words as 0,
+    so the padding changes nothing there.
+    """
     entropy = _uint32_words(seed)
-    spawn = [word for part in key for word in _uint32_words(part)]
-    if spawn and len(entropy) < _POOL_SIZE:
-        entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy += spawn
+    entropy += [0] * (_POOL_SIZE - len(entropy))
 
     # The hash constant advances with every hash, whatever its input.
     hash_const = _INIT_A
@@ -77,30 +82,59 @@ def _seed_state(seed: int, key: Sequence[int]) -> tuple[int, int]:
         value = (value * hash_const) & _MASK32
         return value ^ (value >> _XSHIFT)
 
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> _XSHIFT)
-
     # mix_entropy: hash the first four words into the pool, hash every
     # pool word into every other, then mix in the remaining words
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for value in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(value))
+            pool[dst] = _mix(pool[dst], hashmix(value))
+    return tuple(pool), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _output_constants() -> list[int]:
+    """The hash constants of ``generate_state``'s eight output words,
+    which are the same for every stream."""
+    hash_const, constants = _INIT_B, []
+    for _ in range(2 * _POOL_SIZE):
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        constants.append(hash_const)
+    return constants
+
+
+_OUTPUT_CONSTANTS = _output_constants()
+
+
+def _seed_state(seed: int, key: Sequence[int]) -> tuple[int, int]:
+    """PCG64's (initstate, initseq) from ``SeedSequence(seed, spawn_key=key)``."""
+    pool, hash_const = _seed_pool(seed)
+    pool = list(pool)
+    # the rest of mix_entropy: hash each key word into every pool word
+    for part in key:
+        for value in _uint32_words(part):
+            for dst in range(_POOL_SIZE):
+                hashed = value ^ hash_const
+                hash_const = (hash_const * _MULT_A) & _MASK32
+                hashed = (hashed * hash_const) & _MASK32
+                pool[dst] = _mix(pool[dst], hashed ^ (hashed >> _XSHIFT))
 
     # generate_state(4, uint64): eight 32-bit words cycled from the pool,
-    # paired little-endian into four 64-bit words
-    hash_const = _INIT_B
+    # each xored with the hash constant before it and multiplied by the
+    # one after, paired little-endian into four 64-bit words
     state = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
+    previous = _INIT_B
+    for i, hash_const in enumerate(_OUTPUT_CONSTANTS):
+        value = ((pool[i % _POOL_SIZE] ^ previous) * hash_const) & _MASK32
         state.append(value ^ (value >> _XSHIFT))
+        previous = hash_const
     v0, v1, v2, v3 = (state[2 * i] | state[2 * i + 1] << 32 for i in range(4))
     return v0 << 64 | v1, v2 << 64 | v3
 

@@ -20,7 +20,8 @@ from markprep import (
 from markprep import forest, synthgen
 from markprep.streams import bounded, shuffled_prefix, uniform
 
-SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+# 2**160 + 3 has six 32-bit words, more than the pool holds
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**160 + 3)
 KEYS = ((), (0,), (3, 405), (0, 405, 3, 9), (2**32, 1), (2**40,))
 
 TOP = 2**64 - 1
