@@ -6,7 +6,7 @@ attribute helps a from-scratch random forest predict final degree bands.
 Everything downstream of a seed is deterministic.
 
 A public name loads its submodule on first use, so ``import markprep``
-by itself loads neither the submodules nor numpy.
+by itself loads none of the submodules.
 """
 import importlib
 

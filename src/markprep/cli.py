@@ -24,10 +24,8 @@ from typing import IO, TYPE_CHECKING, Callable, ContextManager, Iterable, Iterat
 
 import click
 
-# No module imports numpy at its top: refine and evaluation load it inside
-# the functions that fit and score, so only `refine` and `evaluate` load
-# it.  Each command imports evaluation, forest, refine or synthgen in its
-# body, so that it loads only the modules it runs.
+# Each command imports evaluation, forest, refine or synthgen in its body,
+# so that it loads only the modules it runs.  No module imports numpy.
 from . import __version__
 from .core import (
     DEFAULT_BANDING,

@@ -543,10 +543,16 @@ def test_non_utf8_input_is_usage_error(cohort: Path, refined: Path, tmp_path: Pa
         ("generate", "--students", "10", "--out", "{dir}/generated.csv"),
         ("report", "{dir}/cohort.model.json"),
         ("report", "{dir}/evaluation.json"),
+        ("refine", "{cohort}", "--format", "json", "--out", "{dir}/probe.refined.csv", "--model-out", "{dir}/probe.model.json"),
+        ("refine", "{cohort}", "--per-department", "--format", "json", "--out", "{dir}/probe.refined.csv",
+         "--model-out", "{dir}/probe.model.json"),
+        ("evaluate", "{dir}/cohort.refined.csv", "--trees", "3"),
+        ("evaluate", "{dir}/cohort.refined.csv", "--trees", "3", "--format", "json"),
     ],
     ids=[
         "validate", "stats", "help", "evaluate-help", "evaluate-fixture", "evaluate-fixture-json",
-        "generate", "report-model", "report-evaluation",
+        "generate", "report-model", "report-evaluation", "refine-json", "refine-per-department-json",
+        "evaluate", "evaluate-json",
     ],
 )
 def test_command_runs_without_numpy(cohort: Path, refined: Path, args) -> None:

@@ -1,6 +1,7 @@
 """Package surface: the public export list, loaded lazily."""
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -59,6 +60,22 @@ def test_import_loads_no_numpy() -> None:
     probe = run_python("-c", "import sys, markprep; print('numpy' in sys.modules)")
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout == "False\n"
+
+
+def test_no_module_imports_numpy() -> None:
+    modules = sorted((SRC / "markprep").glob("*.py"))
+    assert len(modules) >= 12
+    found = []
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{module.name}:{node.lineno}" for name in names if name.split(".")[0] == "numpy"]
+    assert found == []
 
 
 def test_version_runs_from_source_checkout() -> None:
