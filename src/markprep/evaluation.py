@@ -236,7 +236,7 @@ def auc_multiclass(
         band: auc_binary([row[int(band)] for row in probs], [index == int(band) for index in label_indexes])
         for band in present
     }
-    return _average_auc(per_class, {band: counts[band] for band in present}, average), per_class
+    return _average_auc(per_class, counts, average), per_class
 
 
 def _average_auc(per_class: Mapping[DegreeBand, float], counts: Mapping[DegreeBand, int], average: str) -> float:

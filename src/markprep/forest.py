@@ -295,7 +295,7 @@ def proba_matrix(model: ForestModel, x_matrix: Iterable[Iterable[float]]) -> lis
         raise ValueError("the feature matrix must be a sequence of feature rows") from None
     if any(len(row) != model.n_features for row in rows):
         raise ValueError(f"every feature row must have the model's {model.n_features} features")
-    columns = [list(column) for column in zip(*rows)]
+    columns = list(zip(*rows))
     accumulated = [[0.0] * _N_BANDS for _ in rows]
     every_row = list(range(len(rows)))
     for tree in model.trees:

@@ -205,15 +205,13 @@ def _fit_groups(data: _RatioGroups, degree: int) -> RefinementModel:
     for col in reversed(range(size)):
         rest = sum(rows[col][k] * solution[k] for k in range(col + 1, size))
         solution[col] = (rows[col][size] - rest) / rows[col][col]
-    coefficients = [float(value) for value in solution] + [0.0] * (2 - degree)
-    b0, b1, b2 = coefficients
+    b0, b1, b2 = [float(value) for value in solution] + [0.0] * (2 - degree)
 
-    ss_res = math.fsum(
-        (mark - fitted) ** 2
-        for car, group in data.groups.items()
-        for fitted in (b0 + b1 * car + b2 * (car * car),)
-        for mark in group
-    )
+    squares: list[float] = []
+    for car, group in data.groups.items():
+        fitted = b0 + b1 * car + b2 * (car * car)
+        squares += [(mark - fitted) ** 2 for mark in group]
+    ss_res = math.fsum(squares)
     if data.ss_tot == 0.0:
         r_squared = 1.0
     else:

@@ -60,6 +60,30 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    """One hash of ``SeedSequence``: the hashed value, and the hash
+    constant advanced as it is by every hash, whatever its input."""
+    value ^= hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _mix_in(pool: list[int], values: Sequence[int], hash_const: int) -> int:
+    """The last phase of mix_entropy: hash each value into every pool
+    word, in place; returns the hash constant reached."""
+    for value in values:
+        for dst in range(_POOL_SIZE):
+            hashed, hash_const = _hashmix(value, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return hash_const
+
+
 @functools.lru_cache(maxsize=16)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """``SeedSequence``'s pool after it has mixed in the seed's own words,
@@ -71,70 +95,36 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """
     entropy = _uint32_words(seed)
     entropy += [0] * (_POOL_SIZE - len(entropy))
-
-    # The hash constant advances with every hash, whatever its input.
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> _XSHIFT)
-
     # mix_entropy: hash the first four words into the pool, hash every
     # pool word into every other, then mix in the remaining words
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    pool, hash_const = [], _INIT_A
+    for value in entropy[:_POOL_SIZE]:
+        hashed, hash_const = _hashmix(value, hash_const)
+        pool.append(hashed)
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for value in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(value))
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    hash_const = _mix_in(pool, entropy[_POOL_SIZE:], hash_const)
     return tuple(pool), hash_const
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> _XSHIFT)
-
-
-def _output_constants() -> list[int]:
-    """The hash constants of ``generate_state``'s eight output words,
-    which are the same for every stream."""
-    hash_const, constants = _INIT_B, []
-    for _ in range(2 * _POOL_SIZE):
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        constants.append(hash_const)
-    return constants
-
-
-_OUTPUT_CONSTANTS = _output_constants()
 
 
 def _seed_state(seed: int, key: Sequence[int]) -> tuple[int, int]:
     """PCG64's (initstate, initseq) from ``SeedSequence(seed, spawn_key=key)``."""
     pool, hash_const = _seed_pool(seed)
     pool = list(pool)
-    # the rest of mix_entropy: hash each key word into every pool word
-    for part in key:
-        for value in _uint32_words(part):
-            for dst in range(_POOL_SIZE):
-                hashed = value ^ hash_const
-                hash_const = (hash_const * _MULT_A) & _MASK32
-                hashed = (hashed * hash_const) & _MASK32
-                pool[dst] = _mix(pool[dst], hashed ^ (hashed >> _XSHIFT))
+    _mix_in(pool, [word for part in key for word in _uint32_words(part)], hash_const)
 
     # generate_state(4, uint64): eight 32-bit words cycled from the pool,
-    # each xored with the hash constant before it and multiplied by the
-    # one after, paired little-endian into four 64-bit words
+    # paired little-endian into four 64-bit words
+    hash_const = _INIT_B
     state = []
-    previous = _INIT_B
-    for i, hash_const in enumerate(_OUTPUT_CONSTANTS):
-        value = ((pool[i % _POOL_SIZE] ^ previous) * hash_const) & _MASK32
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
         state.append(value ^ (value >> _XSHIFT))
-        previous = hash_const
     v0, v1, v2, v3 = (state[2 * i] | state[2 * i + 1] << 32 for i in range(4))
     return v0 << 64 | v1, v2 << 64 | v3
 
