@@ -156,15 +156,20 @@ def fit_polynomial(
 
 
 def _exact_sum(values: Sequence[float]) -> Fraction:
-    """The exact sum of floats: each is an integer over a power of two,
-    so the numerators add exactly per denominator and then over the
-    largest one."""
-    numerators: defaultdict[int, int] = defaultdict(int)
-    for value in values:
-        numerator, denominator = value.as_integer_ratio()
-        numerators[denominator] += numerator
-    common = max(numerators)
-    return Fraction(sum(n * (common // d) for d, n in numerators.items()), common)
+    """The exact sum of floats.
+
+    ``math.fsum`` rounds the exact sum to a float s; appending -s leaves
+    the exact sum of the rest equal to what s missed, and so on until it
+    is exactly 0 (fsum returns 0.0 only for an exact 0).  The floats
+    taken out add up, as fractions, to the exact sum.  Marks need two
+    passes of fsum, several times faster than converting every float.
+    """
+    rest = list(values)
+    total = Fraction(0)
+    while (rounded := math.fsum(rest)) != 0.0:
+        total += Fraction(rounded)  # raises on inf or NaN
+        rest.append(-rounded)
+    return total
 
 
 class _RatioGroups:
@@ -183,7 +188,7 @@ class _RatioGroups:
         self.moments = [sum(n * car**k for car, n, _ in exact) for k in range(5)]
         self.targets = [sum(total * car**k for car, _, total in exact) for k in range(3)]
         mean = float(self.targets[0] / self.count)
-        self.ss_tot = math.fsum((mark - mean) ** 2 for mark in marks)
+        self.ss_tot = math.fsum([(mark - mean) * (mark - mean) for mark in marks])
 
 
 def _fit_groups(data: _RatioGroups, degree: int) -> RefinementModel:
@@ -210,7 +215,7 @@ def _fit_groups(data: _RatioGroups, degree: int) -> RefinementModel:
     squares: list[float] = []
     for car, group in data.groups.items():
         fitted = b0 + b1 * car + b2 * (car * car)
-        squares += [(mark - fitted) ** 2 for mark in group]
+        squares += [(mark - fitted) * (mark - fitted) for mark in group]
     ss_res = math.fsum(squares)
     if data.ss_tot == 0.0:
         r_squared = 1.0

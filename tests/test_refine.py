@@ -20,6 +20,7 @@ from markprep import (
     refine_mark,
     run_refinement_pipeline,
 )
+from markprep.refine import _exact_sum
 from test_core import make_outcome
 
 
@@ -120,6 +121,20 @@ def assert_exact_ols(ratios: list[float], marks: list[float], degree: int) -> Re
     model = fit_polynomial(ratios, marks, degree)
     assert (model.intercept, model.linear, model.quadratic) == rational_ols(ratios, marks, degree)
     return model
+
+
+def test_exact_sum_equals_the_sum_of_fractions() -> None:
+    rng = np.random.default_rng(99)
+    cases = [[], [0.0, -0.0], [0.1] * 10, [1e16, 1.0, -1e16], [5e-324, 1e300, -1e300, 2.0**-1074]]
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        cases.append((rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n)).tolist())
+    for values in cases:
+        assert _exact_sum(values) == sum(map(Fraction, values), Fraction(0))
+    with pytest.raises(ValueError):
+        _exact_sum([1.0, float("nan")])
+    with pytest.raises(OverflowError):
+        _exact_sum([1.0, float("inf")])
 
 
 def test_fit_is_the_rational_ols_rounded_once_fuzz() -> None:
