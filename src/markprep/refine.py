@@ -182,11 +182,20 @@ class _RatioGroups:
             groups[car].append(mark)
         self.groups = groups
         self.count = len(marks)
-        exact = [(Fraction(car), len(group), _exact_sum(group)) for car, group in groups.items()]
-        # the sums of car^k over the records, k = 0..4, and of mark * car^k,
-        # k = 0..2: the normal equations' matrix and right-hand side
-        self.moments = [sum(n * car**k for car, n, _ in exact) for k in range(5)]
-        self.targets = [sum(total * car**k for car, _, total in exact) for k in range(3)]
+        # The normal equations' matrix and right-hand side are the sums of
+        # car^k over the records, k = 0..4, and of mark * car^k, k = 0..2.
+        # Each ratio and each group's exact sum is an integer over a power
+        # of two, so over the largest of those powers every such sum is an
+        # integer sum, made a fraction once.
+        cars = [car.as_integer_ratio() for car in groups]
+        unit = max(d for _, d in cars)
+        xs = [n * (unit // d) for n, d in cars]
+        sums = [_exact_sum(group) for group in groups.values()]
+        sum_unit = max(total.denominator for total in sums)
+        ys = [total.numerator * (sum_unit // total.denominator) for total in sums]
+        counts = [len(group) for group in groups.values()]
+        self.moments = [Fraction(sum(n * x**k for n, x in zip(counts, xs)), unit**k) for k in range(5)]
+        self.targets = [Fraction(sum(y * x**k for y, x in zip(ys, xs)), sum_unit * unit**k) for k in range(3)]
         mean = float(self.targets[0] / self.count)
         self.ss_tot = math.fsum([(mark - mean) * (mark - mean) for mark in marks])
 
