@@ -15,13 +15,13 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     "DEFAULT_BANDING": "core",
+    "DEFAULT_TEST_FRACTION": "core",
     "AssessmentWeighting": "core",
     "BandingScheme": "core",
     "DegreeBand": "core",
     "StudentModuleOutcome": "core",
     "render_confusion_text": "core",
     "CAR_COLUMN": "evaluation",
-    "DEFAULT_TEST_FRACTION": "fixtures",
     "ComparisonResult": "evaluation",
     "ConfusionMatrix": "evaluation",
     "EvaluationReport": "evaluation",

@@ -24,11 +24,13 @@ from typing import IO, TYPE_CHECKING, Callable, ContextManager, Iterable, Iterat
 
 import click
 
-# Each command imports evaluation, forest, refine or synthgen in its body,
-# so that it loads only the modules it runs.  No module imports numpy.
+# Each command imports evaluation, fixtures, forest, refine, stats or
+# synthgen in its body, so that it loads only the modules it runs.  No
+# module imports numpy.
 from . import __version__
 from .core import (
     DEFAULT_BANDING,
+    DEFAULT_TEST_FRACTION,
     BandingScheme,
     DegreeBand,
     read_list,
@@ -36,12 +38,6 @@ from .core import (
     read_string,
     render_aligned_table,
     render_confusion_text,
-)
-from .fixtures import (
-    CONFUSION_WITH_CAR,
-    CONFUSION_WITHOUT_CAR,
-    DEFAULT_TEST_FRACTION,
-    PublishedConfusionTable,
 )
 from .ingest import (
     IngestReport,
@@ -54,39 +50,26 @@ from .ingest import (
     parse_transcript_csv,
     write_transcript_csv,
 )
-from .stats import (
-    AssessmentMethodClass,
-    DegenerateSampleError,
-    TTestResult,
-    TTestVariant,
-    group_mean_table,
-    two_sample_t,
-)
 
 if TYPE_CHECKING:
     from .evaluation import ComparisonResult
+    from .fixtures import PublishedConfusionTable
     from .refine import RefinementModel, RefinementResult, SavedModels
+    from .stats import GroupSummary, TTestResult, TTestVariant
 
 DEFAULT_SEED = 42
 
 # Config keys with no flag of their own, per command.
 _CONFIG_ONLY_KEYS = {"evaluate": {"banding"}}
 
-_METHOD_ORDER = (
-    AssessmentMethodClass.EXAM_BASED,
-    AssessmentMethodClass.COURSEWORK_BASED,
-    AssessmentMethodClass.MIXED,
-)
-_METHOD_TITLES = {
-    AssessmentMethodClass.EXAM_BASED: "Exam",
-    AssessmentMethodClass.COURSEWORK_BASED: "Coursework",
-    AssessmentMethodClass.MIXED: "Mixed",
-}
+# The assessment methods as their AssessmentMethodClass values, in report
+# column order, with their text-table titles.
+_METHOD_TITLES = {"exam_based": "Exam", "coursework_based": "Coursework", "mixed": "Mixed"}
 
 _COMPARISONS = (
-    ("exam_vs_coursework", AssessmentMethodClass.EXAM_BASED, AssessmentMethodClass.COURSEWORK_BASED),
-    ("mixed_vs_exam", AssessmentMethodClass.MIXED, AssessmentMethodClass.EXAM_BASED),
-    ("mixed_vs_coursework", AssessmentMethodClass.MIXED, AssessmentMethodClass.COURSEWORK_BASED),
+    ("exam_vs_coursework", "exam_based", "coursework_based"),
+    ("mixed_vs_exam", "mixed", "exam_based"),
+    ("mixed_vs_coursework", "mixed", "coursework_based"),
 )
 
 
@@ -223,6 +206,21 @@ def _output_files() -> Iterator[Callable[[Path, str], ContextManager[IO[str]]]]:
                 os.unlink(temp)
 
 
+def _check_distinct_outputs(outputs: Iterable[tuple[Path | None, str]]) -> None:
+    """Exit 2 when two of a command's ``(path, label)`` outputs name one
+    file, which would keep only the one moved into place last.  A device or
+    pipe is written in turn, not replaced, so it may take several; a None
+    path is an output not asked for."""
+    seen: dict[Path, str] = {}
+    for path, label in outputs:
+        if path is None or (path.exists() and not path.is_file()):
+            continue
+        target = path.resolve()
+        if target in seen:
+            _usage_error(f"cannot write {label} {path}: the {seen[target]} goes to the same file")
+        seen[target] = label
+
+
 def _write_text(path: str | Path, text: str, label: str) -> None:
     with _output_files() as stage, stage(Path(path), label) as stream:
         stream.write(text)
@@ -250,15 +248,17 @@ def _csv_text(rows: Iterable[Sequence[str]]) -> str:
 
 
 def _read_records(path: str, parse=parse_transcript_csv, warn_rejects: bool = True) -> tuple:
-    """The tuple ``parse`` returns for a transcript CSV; unreadable input or
-    a wrong header is a usage error.  Rejected rows are counted on stderr,
-    so stdout stays the report."""
+    """The tuple ``parse`` returns for a transcript CSV; unreadable input,
+    text the CSV reader refuses or a wrong header is a usage error.
+    Rejected rows are counted on stderr, so stdout stays the report."""
     try:
         parsed = parse(path)
     except OSError as exc:
         _usage_error(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         _usage_error(f"cannot read {path}: not UTF-8 text ({exc})")
+    except csv.Error as exc:
+        _usage_error(f"cannot read {path}: {exc}")
     except TranscriptSchemaError as exc:
         refined = parse is parse_refined_transcript_csv
         _usage_error(f"{exc} (expected the refined schema written by `refine`)" if refined else str(exc))
@@ -340,6 +340,9 @@ def generate(
     """Write a deterministic synthetic cohort CSV plus its spec JSON."""
     from .synthgen import CohortSpec, CohortSpecError, default_cohort_spec, generate_cohort
 
+    out_path = Path(out)
+    spec_out_path = Path(spec_out) if spec_out else out_path.with_suffix(".spec.json")
+    _check_distinct_outputs([(out_path, "cohort CSV"), (spec_out_path, "cohort spec")])
     try:
         if spec:
             cohort_spec = CohortSpec.from_json_dict(_read_json_object(spec, f"spec {spec}"))
@@ -356,8 +359,6 @@ def generate(
     except CohortSpecError as exc:
         _usage_error(str(exc))
 
-    out_path = Path(out)
-    spec_out_path = Path(spec_out) if spec_out else out_path.with_suffix(".spec.json")
     with _output_files() as stage:
         with stage(out_path, "cohort CSV") as stream:
             write_transcript_csv(records, stream)
@@ -456,15 +457,13 @@ def validate(
         ctx.exit(1)
 
 
-def _class_samples(
-    table: dict[str, dict[AssessmentMethodClass, object]],
-) -> dict[AssessmentMethodClass, list[float]]:
+def _class_samples(table: dict[str, dict[str, GroupSummary]]) -> dict[str, list[float]]:
     """Department-level mean per method class, one point per department.
 
     Comparisons run on these per-department means, mirroring how the
     reference analysis compared its published per-department averages.
     """
-    samples: dict[AssessmentMethodClass, list[float]] = {m: [] for m in _METHOD_ORDER}
+    samples: dict[str, list[float]] = {method: [] for method in _METHOD_TITLES}
     for department in sorted(table):
         for method, summary in table[department].items():
             samples[method].append(summary.mean)
@@ -479,7 +478,7 @@ def _stats_json(
     return {
         "group_means": {
             department: {
-                method.value: {"mean": summary.mean, "count": summary.count}
+                method: {"mean": summary.mean, "count": summary.count}
                 for method, summary in by_method.items()
             }
             for department, by_method in table.items()
@@ -493,10 +492,10 @@ def _stats_json(
 
 
 def _stats_text(table, tests: dict[str, TTestResult | None]) -> str:
-    rows = [["Department", *[_METHOD_TITLES[m] for m in _METHOD_ORDER]]]
+    rows = [["Department", *_METHOD_TITLES.values()]]
     for department in sorted(table):
         row = [department]
-        for method in _METHOD_ORDER:
+        for method in _METHOD_TITLES:
             summary = table[department].get(method)
             row.append(f"{summary.mean:.2f}" if summary is not None else "-")
         rows.append(row)
@@ -518,7 +517,7 @@ def _stats_csv(table, tests: dict[str, TTestResult | None]) -> str:
     ]]
     for department in sorted(table):
         cells = [department]
-        for method in _METHOD_ORDER:
+        for method in _METHOD_TITLES:
             summary = table[department].get(method)
             if summary is None:
                 cells.extend(["", ""])
@@ -551,12 +550,17 @@ def _stats_csv(table, tests: dict[str, TTestResult | None]) -> str:
 def stats(input_csv: str, variant: str, format: str, output: str | None) -> None:
     """Group mean marks by department and assessment method, with the
     three pairwise t-tests on the per-department means."""
+    from .stats import DegenerateSampleError, TTestVariant, group_mean_table, two_sample_t
+
     t_variant = TTestVariant(variant)
 
     records, _report = _read_records(input_csv)
     if not records:
         _data_error(f"no valid records in {input_csv}")
-    table = group_mean_table(records)
+    table = {
+        department: {method.value: summary for method, summary in by_method.items()}
+        for department, by_method in group_mean_table(records).items()
+    }
     samples = _class_samples(table)
 
     tests: dict[str, TTestResult | None] = {}
@@ -681,6 +685,11 @@ def refine(
             f"{_setting_name(ctx, 'reference_coefficients')} and {_setting_name(ctx, 'per_department')} "
             "are exclusive: the pinned coefficients are never fitted per department"
         )
+    out_path = Path(out) if out else Path(input_csv).with_suffix(".refined.csv")
+    model_path = Path(model_out) if model_out else Path(input_csv).with_suffix(".model.json")
+    _check_distinct_outputs(
+        [(out_path, "refined CSV"), (model_path, "model"), (Path(output) if output else None, "report")]
+    )
     records, _report = _read_records(input_csv)
     if not records:
         _data_error(f"no valid records in {input_csv}")
@@ -692,8 +701,6 @@ def refine(
     except (SingularFitError, ValueError) as exc:
         _data_error(str(exc))
 
-    out_path = Path(out) if out else Path(input_csv).with_suffix(".refined.csv")
-    model_path = Path(model_out) if model_out else Path(input_csv).with_suffix(".model.json")
     models = result.department_models if result.department_models is not None else result.model
     if format == "json":
         text = _json_text(_refine_report_json(result))
@@ -860,6 +867,8 @@ def evaluate(
             _usage_error("--from-fixture prints the published tables and takes no INPUT_CSV")
         if format == "csv":
             _usage_error("--from-fixture prints text or json, not csv")
+        from .fixtures import CONFUSION_WITH_CAR, CONFUSION_WITHOUT_CAR
+
         if format == "json":
             text = _json_text(_fixture_json(CONFUSION_WITHOUT_CAR, CONFUSION_WITH_CAR))
         else:

@@ -266,6 +266,10 @@ DEFAULT_BANDING = BandingScheme(
     )
 )
 
+# The published evaluation scored 284 of 406 students; the default holdout
+# test share mirrors it.
+DEFAULT_TEST_FRACTION = 0.6995
+
 
 def render_aligned_table(rows: Sequence[Sequence[str]]) -> str:
     """Text columns two spaces apart, each as wide as its widest cell: the

@@ -11,6 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (
     DEFAULT_BANDING,
+    DEFAULT_TEST_FRACTION,
     PUBLISHED_CLASS_ORDER,
     BandingScheme,
     DegreeBand,
@@ -22,7 +23,6 @@ from .core import (
     read_string,
     render_confusion_text,
 )
-from .fixtures import DEFAULT_TEST_FRACTION
 from .forest import (
     FeatureRow,
     FeatureTable,

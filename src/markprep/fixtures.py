@@ -75,10 +75,6 @@ REFERENCE_AUC_WITHOUT_CAR = 0.9073
 REFERENCE_ERROR_RATE_WITH_CAR = 0.0696
 REFERENCE_ERROR_RATE_WITHOUT_CAR = 0.0927
 
-# The published evaluation scored 284 of 406 students; the default holdout
-# test share mirrors it.
-DEFAULT_TEST_FRACTION = 0.6995
-
 
 @dataclass(frozen=True, slots=True)
 class PublishedConfusionTable:

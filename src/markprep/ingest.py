@@ -187,7 +187,10 @@ def _parse_transcript(
     is built from CSV cells.
     """
     reader = csv.reader(io.StringIO(_read_text(source), newline=""))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise csv.Error(f"header row: {exc}") from None
     if refined is None:
         refined = bool(header) and header[-1].strip() == REFINED_MARK_COLUMN
     columns = TRANSCRIPT_COLUMNS + ((REFINED_MARK_COLUMN,) if refined else ())
@@ -204,92 +207,96 @@ def _parse_transcript(
     refined_marks: list[float] = []
     issues: list[ValidationIssue] = []
     row_number = 0  # ends as the count of data rows
-    for row_number, row in enumerate(reader, start=1):
-        if len(row) != width:
-            _reject(issues, row_number, "row", f"expected {width} fields, got {len(row)}")
-            continue
-        refined_ok = True
-        if refined:
-            # unclamped refinement may leave [0, 100]
-            refined_text = row.pop()
-            if not (fullmatch(refined_text) and isfinite(refined_mark := float(refined_text))):
-                _reject(issues, row_number, REFINED_MARK_COLUMN, _mark_fault(refined_text, -math.inf, math.inf))
-                refined_ok = False
-        # the refined mark aside, a row that adds no reject from here on is a record
-        faults = len(issues)
-        (
-            student_id, department, year_text, module_code, module_text,
-            exam_text, cswk_text, exam_weight_text, cswk_weight_text,
-        ) = row
-        if not student_id:
-            _reject(issues, row_number, "student_id", "required field is empty")
-        if not department:
-            _reject(issues, row_number, "department", "required field is empty")
-        if not module_code:
-            _reject(issues, row_number, "module_code", "required field is empty")
-        if not (year_text.isdecimal() and year_text.isascii()):
-            _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
-        if not (fullmatch(module_text) and 0.0 <= (module_mark := float(module_text)) <= 100.0):
-            _reject(issues, row_number, "module_mark", _mark_fault(module_text))
-        # a blank component mark is missing, not malformed
-        exam_mark = cswk_mark = None
-        if exam_text and not (fullmatch(exam_text) and 0.0 <= (exam_mark := float(exam_text)) <= 100.0):
-            _reject(issues, row_number, "exam_mark", _mark_fault(exam_text))
-        if cswk_text and not (fullmatch(cswk_text) and 0.0 <= (cswk_mark := float(cswk_text)) <= 100.0):
-            _reject(issues, row_number, "cswk_mark", _mark_fault(cswk_text))
-        weighting = weightings.get((exam_weight_text, cswk_weight_text))
-        if weighting is None:
-            # a split is two counts summing to 100
-            exam_count = exam_weight_text.isdecimal() and exam_weight_text.isascii()
-            if not exam_count:
-                _reject(issues, row_number, "exam_weight", f"must be a non-negative integer, got {exam_weight_text!r}")
-            cswk_count = cswk_weight_text.isdecimal() and cswk_weight_text.isascii()
-            if not cswk_count:
-                _reject(issues, row_number, "cswk_weight", f"must be a non-negative integer, got {cswk_weight_text!r}")
-            if exam_count and cswk_count:
-                split = int(exam_weight_text), int(cswk_weight_text)
-                if sum(split) != 100:
-                    _reject(issues, row_number, "cswk_weight", f"weights sum to {sum(split)}, not 100")
-                else:
-                    weighting = _WEIGHTINGS.get(split)
-                    if weighting is None:
-                        weighting = _WEIGHTINGS[split] = AssessmentWeighting(*split)
-                    weightings[exam_weight_text, cswk_weight_text] = weighting
-        if weighting is not None:
-            exam_weight = weighting.exam_weight
-            cswk_weight = weighting.coursework_weight
-            if exam_text and not exam_weight:
-                _reject(issues, row_number, "exam_mark", zero_weight, IssueCategory.MEASUREMENT)
-            if cswk_text and not cswk_weight:
-                _reject(issues, row_number, "cswk_mark", zero_weight, IssueCategory.MEASUREMENT)
-        if len(issues) != faults:
-            continue
-        # Recombination check: if every weighted component mark is present,
-        # the weighted mean should reproduce the stored module mark.  A
-        # zero-weight component has no mark by now, so the marks present are
-        # the weighted ones.  A row rejected only for its refined mark is
-        # still checked.
-        if (exam_mark is not None or not exam_weight) and (cswk_mark is not None or not cswk_weight):
-            combined = 0  # an int start, like sum(): -0.0 parts give 0.0
-            if exam_mark is not None:
-                combined += exam_weight * exam_mark
-            if cswk_mark is not None:
-                combined += cswk_weight * cswk_mark
-            combined /= 100.0
-            if abs(combined - module_mark) > RECOMBINATION_TOLERANCE:
-                detail = f"weighted components give {combined:.2f}, module mark is {module_mark:g}"
-                issues.append(
-                    ValidationIssue(row_number, "module_mark", IssueCategory.DISTILLATION, detail, Severity.WARN)
+    try:
+        for row_number, row in enumerate(reader, start=1):
+            if len(row) != width:
+                _reject(issues, row_number, "row", f"expected {width} fields, got {len(row)}")
+                continue
+            refined_ok = True
+            if refined:
+                # unclamped refinement may leave [0, 100]
+                refined_text = row.pop()
+                if not (fullmatch(refined_text) and isfinite(refined_mark := float(refined_text))):
+                    _reject(issues, row_number, REFINED_MARK_COLUMN, _mark_fault(refined_text, -math.inf, math.inf))
+                    refined_ok = False
+            # the refined mark aside, a row that adds no reject from here on is a record
+            faults = len(issues)
+            (
+                student_id, department, year_text, module_code, module_text,
+                exam_text, cswk_text, exam_weight_text, cswk_weight_text,
+            ) = row
+            if not student_id:
+                _reject(issues, row_number, "student_id", "required field is empty")
+            if not department:
+                _reject(issues, row_number, "department", "required field is empty")
+            if not module_code:
+                _reject(issues, row_number, "module_code", "required field is empty")
+            if not (year_text.isdecimal() and year_text.isascii()):
+                _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
+            if not (fullmatch(module_text) and 0.0 <= (module_mark := float(module_text)) <= 100.0):
+                _reject(issues, row_number, "module_mark", _mark_fault(module_text))
+            # a blank component mark is missing, not malformed
+            exam_mark = cswk_mark = None
+            if exam_text and not (fullmatch(exam_text) and 0.0 <= (exam_mark := float(exam_text)) <= 100.0):
+                _reject(issues, row_number, "exam_mark", _mark_fault(exam_text))
+            if cswk_text and not (fullmatch(cswk_text) and 0.0 <= (cswk_mark := float(cswk_text)) <= 100.0):
+                _reject(issues, row_number, "cswk_mark", _mark_fault(cswk_text))
+            weighting = weightings.get((exam_weight_text, cswk_weight_text))
+            if weighting is None:
+                # a split is two counts summing to 100
+                exam_count = exam_weight_text.isdecimal() and exam_weight_text.isascii()
+                if not exam_count:
+                    _reject(issues, row_number, "exam_weight", f"must be a non-negative integer, got {exam_weight_text!r}")
+                cswk_count = cswk_weight_text.isdecimal() and cswk_weight_text.isascii()
+                if not cswk_count:
+                    _reject(issues, row_number, "cswk_weight", f"must be a non-negative integer, got {cswk_weight_text!r}")
+                if exam_count and cswk_count:
+                    split = int(exam_weight_text), int(cswk_weight_text)
+                    if sum(split) != 100:
+                        _reject(issues, row_number, "cswk_weight", f"weights sum to {sum(split)}, not 100")
+                    else:
+                        weighting = _WEIGHTINGS.get(split)
+                        if weighting is None:
+                            weighting = _WEIGHTINGS[split] = AssessmentWeighting(*split)
+                        weightings[exam_weight_text, cswk_weight_text] = weighting
+            if weighting is not None:
+                exam_weight = weighting.exam_weight
+                cswk_weight = weighting.coursework_weight
+                if exam_text and not exam_weight:
+                    _reject(issues, row_number, "exam_mark", zero_weight, IssueCategory.MEASUREMENT)
+                if cswk_text and not cswk_weight:
+                    _reject(issues, row_number, "cswk_mark", zero_weight, IssueCategory.MEASUREMENT)
+            if len(issues) != faults:
+                continue
+            # Recombination check: if every weighted component mark is present,
+            # the weighted mean should reproduce the stored module mark.  A
+            # zero-weight component has no mark by now, so the marks present are
+            # the weighted ones.  A row rejected only for its refined mark is
+            # still checked.
+            if (exam_mark is not None or not exam_weight) and (cswk_mark is not None or not cswk_weight):
+                combined = 0  # an int start, like sum(): -0.0 parts give 0.0
+                if exam_mark is not None:
+                    combined += exam_weight * exam_mark
+                if cswk_mark is not None:
+                    combined += cswk_weight * cswk_mark
+                combined /= 100.0
+                if abs(combined - module_mark) > RECOMBINATION_TOLERANCE:
+                    detail = f"weighted components give {combined:.2f}, module mark is {module_mark:g}"
+                    issues.append(
+                        ValidationIssue(row_number, "module_mark", IssueCategory.DISTILLATION, detail, Severity.WARN)
+                    )
+            if not refined_ok:
+                continue
+            records.append(
+                StudentModuleOutcome(
+                    student_id, department, int(year_text), module_code, module_mark, exam_mark, cswk_mark, weighting
                 )
-        if not refined_ok:
-            continue
-        records.append(
-            StudentModuleOutcome(
-                student_id, department, int(year_text), module_code, module_mark, exam_mark, cswk_mark, weighting
             )
-        )
-        if refined:
-            refined_marks.append(refined_mark)
+            if refined:
+                refined_marks.append(refined_mark)
+    except csv.Error as exc:
+        # a cell longer than csv.field_size_limit(), or a NUL before Python 3.11
+        raise csv.Error(f"row {row_number + 1}: {exc}") from None
     return records, refined_marks, IngestReport(len(records), row_number - len(records), tuple(issues))
 
 
@@ -431,6 +438,20 @@ def _format_mark(value: float | None) -> str:
     return repr(float(value))
 
 
+class _CsvCells(dict):
+    """Each text value mapped to its CSV cell, worked out on first use.
+
+    A cell is quoted, with its quotes doubled, only when it holds a comma,
+    a quote or a line break: ``csv.writer``'s minimal quoting.  A carriage
+    return counts as a line break, as it does for the reader.
+    """
+
+    def __missing__(self, text: str) -> str:
+        quote = "," in text or '"' in text or "\n" in text or "\r" in text
+        cell = self[text] = '"' + text.replace('"', '""') + '"' if quote else text
+        return cell
+
+
 def write_transcript_csv(
     records: Sequence[StudentModuleOutcome],
     dest: str | Path | IO[str],
@@ -440,37 +461,30 @@ def write_transcript_csv(
     refined-mark column.
 
     Floats are written in shortest round-trip form, so parsing the output
-    reproduces the records exactly.
+    reproduces the records exactly.  Rows are written as they are made, so
+    the file is never held whole in memory.
     """
     if refined_marks is not None and len(refined_marks) != len(records):
         raise ValueError(
             f"refined marks length {len(refined_marks)} does not match "
             f"record count {len(records)}"
         )
-    header = list(TRANSCRIPT_COLUMNS)
-    if refined_marks is not None:
-        header.append(REFINED_MARK_COLUMN)
+    columns = TRANSCRIPT_COLUMNS if refined_marks is None else (*TRANSCRIPT_COLUMNS, REFINED_MARK_COLUMN)
+    cells = _CsvCells()
+    lines = (
+        f"{cells[r.student_id]},{cells[r.department]},{r.year_level},{cells[r.module_code]},"
+        f"{_format_mark(r.module_mark)},{_format_mark(r.exam_mark)},{_format_mark(r.cswk_mark)},"
+        f"{r.weighting.exam_weight},{r.weighting.coursework_weight}"
+        for r in records
+    )
+    if refined_marks is None:
+        rows = (f"{line}\n" for line in lines)
+    else:
+        rows = (f"{line},{_format_mark(mark)}\n" for line, mark in zip(lines, refined_marks))
 
     def emit(stream: IO[str]) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        rows = (
-            [
-                record.student_id,
-                record.department,
-                str(record.year_level),
-                record.module_code,
-                _format_mark(record.module_mark),
-                _format_mark(record.exam_mark),
-                _format_mark(record.cswk_mark),
-                str(record.weighting.exam_weight),
-                str(record.weighting.coursework_weight),
-            ]
-            for record in records
-        )
-        if refined_marks is not None:
-            rows = (row + [_format_mark(mark)] for row, mark in zip(rows, refined_marks))
-        writer.writerows(rows)
+        stream.write(",".join(columns) + "\n")
+        stream.writelines(rows)
 
     if hasattr(dest, "write"):
         emit(dest)

@@ -18,7 +18,6 @@ rounded least-squares solution on every platform.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import StudentModuleOutcome, read_count, read_fields, read_number, read_string
-from .fixtures import REFERENCE_R_SQUARED_QUADRATIC
 
 REFERENCE_LINEAR_COEFFICIENT = 12.77
 REFERENCE_QUADRATIC_COEFFICIENT = -5.873
@@ -122,6 +120,10 @@ def reference_model() -> RefinementModel:
     The recorded r_squared is the published fit quality of the original
     (unavailable) data; n_observations 0 marks the model as pinned.
     """
+    # imported here, so that only a command that pins the model loads the
+    # published tables
+    from .fixtures import REFERENCE_R_SQUARED_QUADRATIC
+
     return RefinementModel(
         intercept=0.0,
         linear=REFERENCE_LINEAR_COEFFICIENT,
@@ -295,7 +297,7 @@ def _fit_with_fallback(
         ]
     # One ratio value: no ratio effect is estimable, so refinement is a
     # no-op (zero slope) and the intercept carries the mean.
-    mean_mark = statistics.fmean(marks)
+    mean_mark = math.fsum(marks) / len(marks)  # statistics.fmean's own formula
     constant_response = all(mark == marks[0] for mark in marks)
     fallback = RefinementModel(
         intercept=mean_mark,

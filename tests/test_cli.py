@@ -6,6 +6,7 @@ import io
 import json
 import os
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -517,6 +518,68 @@ def test_failed_output_keeps_existing_file(cohort: Path, tmp_path: Path, args) -
     assert not [path for path in tmp_path.iterdir() if path.name.startswith(".")]
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (("generate", "--students", "5", "--out", "{same}", "--spec-out", "{same}"),
+         "cannot write cohort spec {same}: the cohort CSV goes to the same file"),
+        (("generate", "--students", "5", "--out", "{same}", "--spec-out", "{tmp}/../{tmp.name}/same.csv"),
+         "cannot write cohort spec {tmp}/../{tmp.name}/same.csv: the cohort CSV goes to the same file"),
+        (("refine", "{cohort}", "--out", "{same}", "--model-out", "{same}"),
+         "cannot write model {same}: the refined CSV goes to the same file"),
+        (("refine", "{cohort}", "--out", "{same}", "--model-out", "{same}", "--output", "{same}"),
+         "cannot write model {same}: the refined CSV goes to the same file"),
+        (("refine", "{cohort}", "--model-out", "{tmp}/m.json", "--output", "{tmp}/m.json"),
+         "cannot write report {tmp}/m.json: the model goes to the same file"),
+        # the refined CSV's default path
+        (("refine", "{cohort}", "--model-out", "{tmp}/cohort.refined.csv"),
+         "cannot write model {tmp}/cohort.refined.csv: the refined CSV goes to the same file"),
+    ],
+    ids=["generate", "generate-resolved", "refine", "refine-report", "refine-model-report", "refine-default"],
+)
+def test_outputs_naming_one_file_are_usage_error(cohort: Path, args, message: str) -> None:
+    tmp = cohort.parent
+    paths = {"cohort": cohort, "same": tmp / "same.csv", "tmp": tmp}
+    before = sorted(tmp.iterdir())
+    output = run(*[arg.format(**paths) for arg in args], expect=2)
+    assert message.format(**paths) in output
+    assert sorted(tmp.iterdir()) == before
+
+
+def test_outputs_may_share_a_device(cohort: Path) -> None:
+    # a device is written in turn, not replaced, so nothing is lost
+    run("refine", str(cohort), "--out", os.devnull, "--model-out", os.devnull, "--output", os.devnull)
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "refine", "evaluate"])
+def test_cell_past_the_csv_field_limit_is_usage_error(cohort: Path, refined: Path, command: str) -> None:
+    # column 0 is student_id; csv.field_size_limit() is 131,072 by default
+    source = refined if command == "evaluate" else cohort
+    path = with_row_replaced(source, 2, 0, "S" * 200_000, "long.csv")
+    output = run(command, str(path), expect=2)
+    assert f"cannot read {path}: row 3: field larger than field limit" in output
+    assert "Traceback" not in output
+
+
+def test_header_past_the_csv_field_limit_is_usage_error(cohort: Path) -> None:
+    header, rest = cohort.read_text().split("\n", 1)
+    path = cohort.with_name("long-header.csv")
+    path.write_text("x" * 200_000 + header + "\n" + rest)
+    output = run("validate", str(path), expect=2)
+    assert f"cannot read {path}: header row: field larger than field limit" in output
+
+
+def test_nul_byte_is_read_or_refused_cleanly(cohort: Path) -> None:
+    path = with_row_replaced(cohort, 1, 0, "S\x00", "nul.csv")
+    if sys.version_info < (3, 11):
+        output = run("validate", str(path), expect=2)
+        assert f"cannot read {path}: row 2: line contains NUL" in output
+    else:
+        # from Python 3.11 the CSV reader takes a NUL as text
+        output = run("validate", str(path))
+        assert "final: 1200 of 1200 input rows accepted" in output
+
+
 @pytest.mark.parametrize("command", ["validate", "stats", "refine", "evaluate", "report"])
 def test_non_utf8_input_is_usage_error(cohort: Path, refined: Path, tmp_path: Path, command: str) -> None:
     if command == "report":
@@ -559,14 +622,19 @@ def test_command_runs_without_numpy(cohort: Path, refined: Path, args) -> None:
     evaluation = refined.with_name("evaluation.json")
     run("evaluate", str(refined), "--trees", "3", "--format", "json", "--output", str(evaluation))
     probe = (
-        "import atexit, sys\n"
-        "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+        "import atexit, json, sys\n"
+        "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
         "from markprep.cli import main\n"
         "main(sys.argv[1:], prog_name='markprep')\n"
     )
     result = run_python("-c", probe, *[arg.format(cohort=cohort, dir=cohort.parent) for arg in args])
     assert result.returncode == 0, result.stderr
-    assert result.stderr.endswith("False\n")
+    loaded = set(json.loads(result.stderr.splitlines()[-1]))
+    assert "numpy" not in loaded
+    # each command loads only what it runs: the t-tests for `stats` alone,
+    # the published tables for `evaluate --from-fixture` alone
+    assert ("markprep.stats" in loaded) == (args[0] == "stats")
+    assert ("markprep.fixtures" in loaded) == ("--from-fixture" in args)
 
 
 def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:

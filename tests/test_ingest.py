@@ -299,6 +299,73 @@ def test_refined_schema_requires_extra_column(tmp_path: Path) -> None:
         parse_refined_transcript_csv(path)
 
 
+def reference_transcript_csv(records: Sequence[StudentModuleOutcome], refined_marks=None) -> str:
+    """The transcript as ``csv.writer`` writes its rows, the writer's former
+    path.  Python 3.11's writer quotes a lone carriage return only when it is
+    part of the line terminator, so each row is written with "\\r\\n" and
+    that ending is swapped for "\\n"."""
+    def mark(value: float | None) -> str:
+        return "" if value is None else repr(float(value))
+
+    rows = [list(TRANSCRIPT_COLUMNS) + ([REFINED_MARK_COLUMN] if refined_marks is not None else [])]
+    for i, record in enumerate(records):
+        rows.append([
+            record.student_id, record.department, str(record.year_level), record.module_code,
+            mark(record.module_mark), mark(record.exam_mark), mark(record.cswk_mark),
+            str(record.weighting.exam_weight), str(record.weighting.coursework_weight),
+        ] + ([mark(refined_marks[i])] if refined_marks is not None else []))
+    lines = []
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
+
+
+# Marks with an integral value, an exponent in their repr, a negative zero,
+# and an int for a float.
+WRITER_MARKS = (0.0, 60.0, 100.0, -0.0, 1e-05, 5e-324, 2.5e-07, 59.87654321098765, 0.1 + 0.2, 61)
+WRITER_REFINED_MARKS = WRITER_MARKS + (-3.5, 1e16, 1.25e+22, -7.5e-10, 123.0)
+WRITER_CHARACTERS = ("a", "Z", "7", ",", '"', "\r", "\n", " ", "\u00e9", "\u4e2d", "-")
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["canonical", "refined"])
+def test_writer_matches_csv_writer(tmp_path: Path, refined: bool) -> None:
+    rng = random.Random(20)
+
+    def text() -> str:
+        return "".join(rng.choice(WRITER_CHARACTERS) for _ in range(rng.randint(1, 6)))
+
+    def optional_mark(weight: int) -> float | None:
+        return rng.choice(WRITER_MARKS) if weight and rng.random() < 0.8 else None
+
+    records = []
+    for _ in range(2000):
+        exam_weight = rng.choice((0, 30, 50, 100))
+        records.append(StudentModuleOutcome(
+            text(), text(), rng.randint(0, 12), text(), rng.choice(WRITER_MARKS),
+            optional_mark(exam_weight), optional_mark(100 - exam_weight),
+            AssessmentWeighting(exam_weight, 100 - exam_weight),
+        ))
+    refined_marks = [rng.choice(WRITER_REFINED_MARKS) for _ in records] if refined else None
+    expected = reference_transcript_csv(records, refined_marks)
+    assert any(c in expected for c in ('"\r', '""', "\u4e2d"))
+    stream = io.StringIO()
+    write_transcript_csv(records, stream, refined_marks=refined_marks)
+    assert stream.getvalue() == expected
+    path = tmp_path / "out.csv"
+    write_transcript_csv(records, path, refined_marks=refined_marks)
+    assert path.read_bytes() == expected.encode("utf-8")
+    # and the reader takes every cell back
+    if refined:
+        parsed, marks, report = parse_refined_transcript_csv(io.StringIO(expected))
+        assert marks == [float(mark) for mark in refined_marks]
+    else:
+        parsed, report = parse_transcript_csv(io.StringIO(expected))
+    assert parsed == records
+    assert report.rejected_count == 0
+
+
 # The parser's whole error behaviour, pinned: every column of both schemas
 # takes every value of GRID_VALUES on an otherwise valid row, and
 # GRID_CASES add weight sums, marks on zero-weight components, the

@@ -91,3 +91,25 @@ def test_pyproject_version_matches_package() -> None:
     match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
     assert match is not None
     assert match.group(1) == markprep.__version__
+
+
+def test_console_script_is_the_process_entry_point() -> None:
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^markprep = "markprep.__main__:run"$', pyproject, re.MULTILINE)
+
+
+@pytest.mark.parametrize(
+    ("call", "frozen"),
+    [("from markprep.__main__ import run; run()", True), ("from markprep.cli import main; main()", False)],
+    ids=["run", "main"],
+)
+def test_only_the_entry_point_freezes_the_heap(call: str, frozen: bool) -> None:
+    probe = (
+        "import atexit, gc, sys\n"
+        "sys.argv[1:] = ['--version']\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"{call}\n"
+    )
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == f"{frozen}\n"
