@@ -122,12 +122,16 @@ class IngestReport:
 
 
 def _read_text(source: str | Path | IO) -> str:
+    """The text of ``source`` without one leading byte-order mark, as a
+    spreadsheet's "CSV UTF-8" export begins.  A path is read with its line
+    ends as they are, so a quoted CR survives for the CSV reader."""
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
-            return data.decode("utf-8")
-        return data
-    return Path(source).read_text(encoding="utf-8")
+            return data.decode("utf-8-sig")
+        return data.removeprefix("\ufeff")
+    with open(source, encoding="utf-8-sig", newline="") as stream:
+        return stream.read()
 
 
 # A mark as repr(float) or a fixed-point export writes it; float() alone
@@ -158,6 +162,38 @@ def _check_header(header: Sequence[str] | None, expected: Sequence[str]) -> None
         raise TranscriptSchemaError(
             f"header mismatch: expected {','.join(expected)}, got {','.join(seen)}"
         )
+
+
+def _mark(text: str) -> float | None:
+    """The mark a cell text gives, or None unless it is a plain decimal in
+    [0, 100]; ``_mark_fault`` says why."""
+    if _MARK_GRAMMAR.fullmatch(text) and 0.0 <= (value := float(text)) <= 100.0:
+        return value
+    return None
+
+
+def _count(text: str) -> int | None:
+    """The non-negative integer a cell text gives in ASCII digits, or None."""
+    return int(text) if text.isdecimal() and text.isascii() else None
+
+
+class _Checked(dict):
+    """Each cell text mapped to ``convert(text)``, worked out on first use.
+
+    ``convert`` gives None for a text that fails its check.  That is not
+    kept: a failing text is checked again wherever it appears, and the
+    caller writes each cell's reject.
+    """
+
+    def __init__(self, convert) -> None:
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, text: str):
+        value = self.convert(text)
+        if value is not None:
+            self[text] = value
+        return value
 
 
 # Rows with the same split share one weighting, which is frozen.  A split
@@ -199,8 +235,14 @@ def _parse_transcript(
     width = len(columns)
     fullmatch = _MARK_GRAMMAR.fullmatch
     isfinite = math.isfinite
-    # The weight cells of a file repeat a few splits, so each pair of cell
-    # texts is checked once per parse.
+    # Cells repeat: a faculty's file holds a few thousand distinct marks,
+    # ids and codes, a few years and a few weight splits.  So each distinct
+    # text is checked and converted once per parse: a mark to one float, a
+    # year to one int, a pair of weight texts to one weighting and a name to
+    # one str.  A refined mark has its own range and is checked per cell.
+    marks = _Checked(_mark)
+    years = _Checked(_count)
+    names = _Checked(str)
     weightings: dict[tuple[str, str], AssessmentWeighting] = {}
     zero_weight = "mark recorded for a component with zero weight"
     records: list[StudentModuleOutcome] = []
@@ -231,27 +273,27 @@ def _parse_transcript(
                 _reject(issues, row_number, "department", "required field is empty")
             if not module_code:
                 _reject(issues, row_number, "module_code", "required field is empty")
-            if not (year_text.isdecimal() and year_text.isascii()):
+            if (year_level := years[year_text]) is None:
                 _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
-            if not (fullmatch(module_text) and 0.0 <= (module_mark := float(module_text)) <= 100.0):
+            if (module_mark := marks[module_text]) is None:
                 _reject(issues, row_number, "module_mark", _mark_fault(module_text))
             # a blank component mark is missing, not malformed
             exam_mark = cswk_mark = None
-            if exam_text and not (fullmatch(exam_text) and 0.0 <= (exam_mark := float(exam_text)) <= 100.0):
+            if exam_text and (exam_mark := marks[exam_text]) is None:
                 _reject(issues, row_number, "exam_mark", _mark_fault(exam_text))
-            if cswk_text and not (fullmatch(cswk_text) and 0.0 <= (cswk_mark := float(cswk_text)) <= 100.0):
+            if cswk_text and (cswk_mark := marks[cswk_text]) is None:
                 _reject(issues, row_number, "cswk_mark", _mark_fault(cswk_text))
             weighting = weightings.get((exam_weight_text, cswk_weight_text))
             if weighting is None:
                 # a split is two counts summing to 100
-                exam_count = exam_weight_text.isdecimal() and exam_weight_text.isascii()
-                if not exam_count:
+                exam_weight = _count(exam_weight_text)
+                if exam_weight is None:
                     _reject(issues, row_number, "exam_weight", f"must be a non-negative integer, got {exam_weight_text!r}")
-                cswk_count = cswk_weight_text.isdecimal() and cswk_weight_text.isascii()
-                if not cswk_count:
+                cswk_weight = _count(cswk_weight_text)
+                if cswk_weight is None:
                     _reject(issues, row_number, "cswk_weight", f"must be a non-negative integer, got {cswk_weight_text!r}")
-                if exam_count and cswk_count:
-                    split = int(exam_weight_text), int(cswk_weight_text)
+                if exam_weight is not None and cswk_weight is not None:
+                    split = exam_weight, cswk_weight
                     if sum(split) != 100:
                         _reject(issues, row_number, "cswk_weight", f"weights sum to {sum(split)}, not 100")
                     else:
@@ -289,7 +331,8 @@ def _parse_transcript(
                 continue
             records.append(
                 StudentModuleOutcome(
-                    student_id, department, int(year_text), module_code, module_mark, exam_mark, cswk_mark, weighting
+                    names[student_id], names[department], year_level, names[module_code],
+                    module_mark, exam_mark, cswk_mark, weighting,
                 )
             )
             if refined:

@@ -580,6 +580,22 @@ def test_nul_byte_is_read_or_refused_cleanly(cohort: Path) -> None:
         assert "final: 1200 of 1200 input rows accepted" in output
 
 
+def test_byte_order_mark_is_not_part_of_the_header(cohort: Path) -> None:
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+    path = cohort.with_name("bom.csv")
+    path.write_bytes(b"\xef\xbb\xbf" + cohort.read_bytes())
+    assert run("validate", str(path)) == run("validate", str(cohort)).replace(str(cohort), str(path))
+
+
+def test_refine_keeps_a_quoted_carriage_return(cohort: Path) -> None:
+    # column 3 is module_code
+    path = with_row_replaced(cohort, 0, 3, '"ZZ7\r"', "cr.csv")
+    run("refine", str(path))
+    refined = path.with_suffix(".refined.csv").read_bytes()
+    assert refined.count(b'"ZZ7\r"') == 1
+    assert refined.count(b"\r") == 1
+
+
 @pytest.mark.parametrize("command", ["validate", "stats", "refine", "evaluate", "report"])
 def test_non_utf8_input_is_usage_error(cohort: Path, refined: Path, tmp_path: Path, command: str) -> None:
     if command == "report":

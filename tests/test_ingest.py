@@ -299,6 +299,100 @@ def test_refined_schema_requires_extra_column(tmp_path: Path) -> None:
         parse_refined_transcript_csv(path)
 
 
+def test_quoted_carriage_return_survives_a_file(tmp_path: Path) -> None:
+    records = [make_outcome(module_code="ZZ7\r"), make_outcome(module_code="A\r\nB")]
+    path = tmp_path / "out.csv"
+    write_transcript_csv(records, path)
+    assert b'"ZZ7\r"' in path.read_bytes()
+    parsed, report = parse_transcript_csv(path)
+    assert [r.module_code for r in parsed] == ["ZZ7\r", "A\r\nB"]
+    assert report.rejected_count == 0
+
+
+def test_crlf_line_ends_read_like_lf(tmp_path: Path) -> None:
+    text = f"{HEADER}\nS1,CS,1,M1,60.0,58.0,62.0,50,50\nS2,CS,1,M1,61.0,60.0,62.0,50,50\n"
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert parse_transcript_csv(path) == parse(text)
+
+
+def test_one_leading_byte_order_mark_is_dropped(tmp_path: Path) -> None:
+    text = f"{HEADER}\nS1,CS,1,M1,60.0,58.0,62.0,50,50\n"
+    expected = parse(text)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_transcript_csv(path) == expected
+    assert parse_transcript_csv(io.BytesIO(path.read_bytes())) == expected
+    assert parse("\ufeff" + text) == expected
+    # only one: a second mark is part of the header's first name
+    with pytest.raises(TranscriptSchemaError):
+        parse("\ufeff\ufeff" + text)
+
+
+# Each distinct cell text is checked and converted once per parse; these
+# pin what that memo must not change.
+
+
+def test_refined_mark_text_is_no_module_mark() -> None:
+    # 150.0 is a valid refined mark but out of range for every other mark
+    # column, in either order
+    header = f"{HEADER},{REFINED_MARK_COLUMN}\n"
+    refined = "S1,CS,1,M1,60.0,58.0,62.0,50,50,150.0\n"
+    module = "S2,CS,1,M2,150.0,150.0,62.0,50,50,57.5\n"
+    for rows, row_number in ((refined + module, 2), (module + refined, 1)):
+        records, marks, report = parse_refined_transcript_csv(io.StringIO(header + rows))
+        assert [r.student_id for r in records] == ["S1"]
+        assert marks == [150.0]
+        assert [(i.row_number, i.field, i.detail) for i in report.issues] == [
+            (row_number, "module_mark", "out of range [0, 100]: '150.0'"),
+            (row_number, "exam_mark", "out of range [0, 100]: '150.0'"),
+        ]
+
+
+def test_a_failing_mark_text_is_rejected_in_every_row() -> None:
+    rows = "S1,CS,x,M1,101,101,62.0,50,50\nS2,CS,x,M1,60.0,101,62.0,50,50\n"
+    records, report = parse(HEADER + "\n" + rows)
+    assert records == []
+    assert [(i.row_number, i.field, i.detail) for i in report.issues] == [
+        (1, "year_level", "must be a non-negative integer, got 'x'"),
+        (1, "module_mark", "out of range [0, 100]: '101'"),
+        (1, "exam_mark", "out of range [0, 100]: '101'"),
+        (2, "year_level", "must be a non-negative integer, got 'x'"),
+        (2, "exam_mark", "out of range [0, 100]: '101'"),
+    ]
+
+
+@pytest.mark.parametrize("order", [("-0", "0"), ("0", "-0")], ids=["negative-first", "positive-first"])
+def test_signed_zero_mark_texts_keep_their_signs(order: tuple[str, str]) -> None:
+    rows = "".join(f"S{n},CS,1,M1,{text},{text},,100,0\n" for n, text in enumerate(order))
+    records, report = parse(HEADER + "\n" + rows)
+    assert report.rejected_count == 0
+    for record, text in zip(records, order):
+        sign = -1.0 if text.startswith("-") else 1.0
+        assert math.copysign(1.0, record.module_mark) == sign
+        assert math.copysign(1.0, record.exam_mark) == sign
+    stream = io.StringIO()
+    write_transcript_csv(records, stream)
+    assert [line.split(",")[4:6] for line in stream.getvalue().splitlines()[1:]] == [
+        [repr(float(text))] * 2 for text in order
+    ]
+    assert "-0.0,-0.0" in stream.getvalue() and ",0.0,0.0," in stream.getvalue()
+
+
+def test_equal_cells_share_one_object_within_one_parse_only() -> None:
+    rows = "".join(f"S1,CS,1,M{n},60.0,58.0,62.0,50,50\n" for n in range(3))
+    first, _ = parse(HEADER + "\n" + rows)
+    second, _ = parse(HEADER + "\n" + rows)
+    for a, b in zip(first, first[1:]):
+        assert a.student_id is b.student_id and a.department is b.department
+        assert a.module_mark is b.module_mark and a.exam_mark is b.exam_mark
+    assert first[0].module_code is not first[1].module_code
+    # no memo outlives its parse
+    assert first[0].module_mark == second[0].module_mark
+    assert first[0].module_mark is not second[0].module_mark
+    assert first[0].student_id is not second[0].student_id
+
+
 def reference_transcript_csv(records: Sequence[StudentModuleOutcome], refined_marks=None) -> str:
     """The transcript as ``csv.writer`` writes its rows, the writer's former
     path.  Python 3.11's writer quotes a lone carriage return only when it is
@@ -356,12 +450,12 @@ def test_writer_matches_csv_writer(tmp_path: Path, refined: bool) -> None:
     path = tmp_path / "out.csv"
     write_transcript_csv(records, path, refined_marks=refined_marks)
     assert path.read_bytes() == expected.encode("utf-8")
-    # and the reader takes every cell back
+    # and the reader takes every cell back from the file
     if refined:
-        parsed, marks, report = parse_refined_transcript_csv(io.StringIO(expected))
+        parsed, marks, report = parse_refined_transcript_csv(path)
         assert marks == [float(mark) for mark in refined_marks]
     else:
-        parsed, report = parse_transcript_csv(io.StringIO(expected))
+        parsed, report = parse_transcript_csv(path)
     assert parsed == records
     assert report.rejected_count == 0
 
