@@ -164,37 +164,11 @@ def _check_header(header: Sequence[str] | None, expected: Sequence[str]) -> None
         )
 
 
-def _mark(text: str) -> float | None:
-    """The mark a cell text gives, or None unless it is a plain decimal in
-    [0, 100]; ``_mark_fault`` says why."""
-    if _MARK_GRAMMAR.fullmatch(text) and 0.0 <= (value := float(text)) <= 100.0:
-        return value
-    return None
-
-
-def _count(text: str) -> int | None:
-    """The non-negative integer a cell text gives in ASCII digits, or None."""
-    return int(text) if text.isdecimal() and text.isascii() else None
-
-
-class _Checked(dict):
-    """Each cell text mapped to ``convert(text)``, worked out on first use.
-
-    ``convert`` gives None for a text that fails its check.  That is not
-    kept: a failing text is checked again wherever it appears, and the
-    caller writes each cell's reject.
-    """
-
-    def __init__(self, convert) -> None:
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, text: str):
-        value = self.convert(text)
-        if value is not None:
-            self[text] = value
-        return value
-
+# The most distinct mark texts one parse keeps.  Every two-decimal mark in
+# [0, 100] fits (10,001 values); a file with more distinct texts than this
+# holds full-precision marks, which seldom repeat, so the parse stops
+# looking its marks up and checks each cell as it comes.
+_MARK_MEMO_SIZE = 1 << 14
 
 # Rows with the same split share one weighting, which is frozen.  A split
 # is two non-negative integers summing to 100, so this holds at most 101
@@ -237,12 +211,16 @@ def _parse_transcript(
     isfinite = math.isfinite
     # Cells repeat: a faculty's file holds a few thousand distinct marks,
     # ids and codes, a few years and a few weight splits.  So each distinct
-    # text is checked and converted once per parse: a mark to one float, a
-    # year to one int, a pair of weight texts to one weighting and a name to
-    # one str.  A refined mark has its own range and is checked per cell.
-    marks = _Checked(_mark)
-    years = _Checked(_count)
-    names = _Checked(str)
+    # text is checked and converted once per parse: a mark to one float
+    # (until _MARK_MEMO_SIZE texts are kept), a year to one int, a pair of
+    # weight texts to one weighting and a name to one str.  A text that
+    # fails is checked again wherever it appears, and a refined mark, whose
+    # range differs, is checked cell by cell.
+    marks: dict[str, float] = {}
+    years: dict[str, int] = {}
+    names: dict[str, str] = {}
+    mark_get, year_get, name = marks.get, years.get, names.setdefault
+    memo = True  # marks has room
     weightings: dict[tuple[str, str], AssessmentWeighting] = {}
     zero_weight = "mark recorded for a component with zero weight"
     records: list[StudentModuleOutcome] = []
@@ -273,27 +251,45 @@ def _parse_transcript(
                 _reject(issues, row_number, "department", "required field is empty")
             if not module_code:
                 _reject(issues, row_number, "module_code", "required field is empty")
-            if (year_level := years[year_text]) is None:
-                _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
-            if (module_mark := marks[module_text]) is None:
-                _reject(issues, row_number, "module_mark", _mark_fault(module_text))
+            if (year_level := year_get(year_text)) is None:
+                if year_text.isdecimal() and year_text.isascii():
+                    year_level = years[year_text] = int(year_text)
+                else:
+                    _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
+            if not (memo and (module_mark := mark_get(module_text)) is not None):
+                if fullmatch(module_text) and 0.0 <= (module_mark := float(module_text)) <= 100.0:
+                    if memo:
+                        marks[module_text] = module_mark
+                        memo = len(marks) < _MARK_MEMO_SIZE
+                else:
+                    _reject(issues, row_number, "module_mark", _mark_fault(module_text))
             # a blank component mark is missing, not malformed
             exam_mark = cswk_mark = None
-            if exam_text and (exam_mark := marks[exam_text]) is None:
-                _reject(issues, row_number, "exam_mark", _mark_fault(exam_text))
-            if cswk_text and (cswk_mark := marks[cswk_text]) is None:
-                _reject(issues, row_number, "cswk_mark", _mark_fault(cswk_text))
+            if exam_text and not (memo and (exam_mark := mark_get(exam_text)) is not None):
+                if fullmatch(exam_text) and 0.0 <= (exam_mark := float(exam_text)) <= 100.0:
+                    if memo:
+                        marks[exam_text] = exam_mark
+                        memo = len(marks) < _MARK_MEMO_SIZE
+                else:
+                    _reject(issues, row_number, "exam_mark", _mark_fault(exam_text))
+            if cswk_text and not (memo and (cswk_mark := mark_get(cswk_text)) is not None):
+                if fullmatch(cswk_text) and 0.0 <= (cswk_mark := float(cswk_text)) <= 100.0:
+                    if memo:
+                        marks[cswk_text] = cswk_mark
+                        memo = len(marks) < _MARK_MEMO_SIZE
+                else:
+                    _reject(issues, row_number, "cswk_mark", _mark_fault(cswk_text))
             weighting = weightings.get((exam_weight_text, cswk_weight_text))
             if weighting is None:
                 # a split is two counts summing to 100
-                exam_weight = _count(exam_weight_text)
-                if exam_weight is None:
+                exam_count = exam_weight_text.isdecimal() and exam_weight_text.isascii()
+                if not exam_count:
                     _reject(issues, row_number, "exam_weight", f"must be a non-negative integer, got {exam_weight_text!r}")
-                cswk_weight = _count(cswk_weight_text)
-                if cswk_weight is None:
+                cswk_count = cswk_weight_text.isdecimal() and cswk_weight_text.isascii()
+                if not cswk_count:
                     _reject(issues, row_number, "cswk_weight", f"must be a non-negative integer, got {cswk_weight_text!r}")
-                if exam_weight is not None and cswk_weight is not None:
-                    split = exam_weight, cswk_weight
+                if exam_count and cswk_count:
+                    split = int(exam_weight_text), int(cswk_weight_text)
                     if sum(split) != 100:
                         _reject(issues, row_number, "cswk_weight", f"weights sum to {sum(split)}, not 100")
                     else:
@@ -331,8 +327,8 @@ def _parse_transcript(
                 continue
             records.append(
                 StudentModuleOutcome(
-                    names[student_id], names[department], year_level, names[module_code],
-                    module_mark, exam_mark, cswk_mark, weighting,
+                    name(student_id, student_id), name(department, department), year_level,
+                    name(module_code, module_code), module_mark, exam_mark, cswk_mark, weighting,
                 )
             )
             if refined:
