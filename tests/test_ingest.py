@@ -387,7 +387,6 @@ def test_equal_cells_share_one_object_within_one_parse_only() -> None:
     for a, b in zip(first, first[1:]):
         assert a.student_id is b.student_id and a.department is b.department
         assert a.module_mark is b.module_mark and a.exam_mark is b.exam_mark
-    assert first[0].module_code is not first[1].module_code
     # no memo outlives its parse
     assert first[0].module_mark == second[0].module_mark
     assert first[0].module_mark is not second[0].module_mark
