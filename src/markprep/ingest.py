@@ -124,14 +124,16 @@ class IngestReport:
 def _read_text(source: str | Path | IO) -> str:
     """The text of ``source`` without one leading byte-order mark, as a
     spreadsheet's "CSV UTF-8" export begins.  A path is read with its line
-    ends as they are, so a quoted CR survives for the CSV reader."""
+    ends as they are, so a quoted CR survives for the CSV reader, and bytes
+    are decoded whole, so a decoding error names the byte's file offset."""
     if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            return data.decode("utf-8-sig")
-        return data.removeprefix("\ufeff")
-    with open(source, encoding="utf-8-sig", newline="") as stream:
-        return stream.read()
+        text = source.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+    else:
+        with open(source, encoding="utf-8", newline="") as stream:
+            text = stream.read()
+    return text.removeprefix("\ufeff")
 
 
 # A mark as repr(float) or a fixed-point export writes it; float() alone
@@ -163,12 +165,6 @@ def _check_header(header: Sequence[str] | None, expected: Sequence[str]) -> None
             f"header mismatch: expected {','.join(expected)}, got {','.join(seen)}"
         )
 
-
-# The most distinct mark texts one parse keeps.  Every two-decimal mark in
-# [0, 100] fits (10,001 values); a file with more distinct texts than this
-# holds full-precision marks, which seldom repeat, so the parse stops
-# looking its marks up and checks each cell as it comes.
-_MARK_MEMO_SIZE = 1 << 14
 
 # Rows with the same split share one weighting, which is frozen.  A split
 # is two non-negative integers summing to 100, so this holds at most 101
@@ -211,16 +207,15 @@ def _parse_transcript(
     isfinite = math.isfinite
     # Cells repeat: a faculty's file holds a few thousand distinct marks,
     # ids and codes, a few years and a few weight splits.  So each distinct
-    # text is checked and converted once per parse: a mark to one float
-    # (until _MARK_MEMO_SIZE texts are kept), a year to one int, a pair of
-    # weight texts to one weighting and a name to one str.  A text that
-    # fails is checked again wherever it appears, and a refined mark, whose
-    # range differs, is checked cell by cell.
+    # text is checked and converted once per parse: a mark to one float, a
+    # year to one int, a pair of weight texts to one weighting and a name to
+    # one str, which the records then share.  A text that fails is checked
+    # again wherever it appears, and a refined mark, whose range differs, is
+    # checked cell by cell.
     marks: dict[str, float] = {}
     years: dict[str, int] = {}
     names: dict[str, str] = {}
     mark_get, year_get, name = marks.get, years.get, names.setdefault
-    memo = True  # marks has room
     weightings: dict[tuple[str, str], AssessmentWeighting] = {}
     zero_weight = "mark recorded for a component with zero weight"
     records: list[StudentModuleOutcome] = []
@@ -256,27 +251,21 @@ def _parse_transcript(
                     year_level = years[year_text] = int(year_text)
                 else:
                     _reject(issues, row_number, "year_level", f"must be a non-negative integer, got {year_text!r}")
-            if not (memo and (module_mark := mark_get(module_text)) is not None):
+            if (module_mark := mark_get(module_text)) is None:
                 if fullmatch(module_text) and 0.0 <= (module_mark := float(module_text)) <= 100.0:
-                    if memo:
-                        marks[module_text] = module_mark
-                        memo = len(marks) < _MARK_MEMO_SIZE
+                    marks[module_text] = module_mark
                 else:
                     _reject(issues, row_number, "module_mark", _mark_fault(module_text))
             # a blank component mark is missing, not malformed
             exam_mark = cswk_mark = None
-            if exam_text and not (memo and (exam_mark := mark_get(exam_text)) is not None):
+            if exam_text and (exam_mark := mark_get(exam_text)) is None:
                 if fullmatch(exam_text) and 0.0 <= (exam_mark := float(exam_text)) <= 100.0:
-                    if memo:
-                        marks[exam_text] = exam_mark
-                        memo = len(marks) < _MARK_MEMO_SIZE
+                    marks[exam_text] = exam_mark
                 else:
                     _reject(issues, row_number, "exam_mark", _mark_fault(exam_text))
-            if cswk_text and not (memo and (cswk_mark := mark_get(cswk_text)) is not None):
+            if cswk_text and (cswk_mark := mark_get(cswk_text)) is None:
                 if fullmatch(cswk_text) and 0.0 <= (cswk_mark := float(cswk_text)) <= 100.0:
-                    if memo:
-                        marks[cswk_text] = cswk_mark
-                        memo = len(marks) < _MARK_MEMO_SIZE
+                    marks[cswk_text] = cswk_mark
                 else:
                     _reject(issues, row_number, "cswk_mark", _mark_fault(cswk_text))
             weighting = weightings.get((exam_weight_text, cswk_weight_text))

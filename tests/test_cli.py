@@ -608,6 +608,13 @@ def test_non_utf8_input_is_usage_error(cohort: Path, refined: Path, tmp_path: Pa
     output = run(command, str(path), expect=2)
     assert f"cannot read {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff" in output
     assert "Traceback" not in output
+    if command != "report":
+        assert f"in position {len(header) + 1}:" in output
+        # behind a byte-order mark the position is still the byte's offset in the file
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + b"\n".join([header, b"\xff" + first, rest]))
+        output = run(command, str(path), expect=2)
+        assert f"cannot read {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position {len(header) + 4}:" in output
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,6 @@ from markprep import (
     parse_transcript_csv,
     write_transcript_csv,
 )
-from markprep import ingest
 from markprep.ingest import _MARK_GRAMMAR, _WEIGHTINGS, _reject
 from test_core import make_outcome
 
@@ -381,6 +380,8 @@ def test_signed_zero_mark_texts_keep_their_signs(order: tuple[str, str]) -> None
 
 
 def test_equal_cells_share_one_object_within_one_parse_only() -> None:
+    # one object per distinct text is what keeps a parsed faculty's records
+    # small: csv.reader makes a new str for every cell
     rows = "".join(f"S1,CS,1,M{n},60.0,58.0,62.0,50,50\n" for n in range(3))
     first, _ = parse(HEADER + "\n" + rows)
     second, _ = parse(HEADER + "\n" + rows)
@@ -391,37 +392,6 @@ def test_equal_cells_share_one_object_within_one_parse_only() -> None:
     assert first[0].module_mark == second[0].module_mark
     assert first[0].module_mark is not second[0].module_mark
     assert first[0].student_id is not second[0].student_id
-
-
-@pytest.mark.parametrize("refined", [False, True], ids=["canonical", "refined"])
-def test_parse_is_the_same_once_the_mark_memo_is_full(monkeypatch, refined: bool) -> None:
-    # Past ingest._MARK_MEMO_SIZE distinct mark texts the parse checks each
-    # mark cell as it comes; nothing it returns may show where that began.
-    rng = random.Random(23)
-    texts = ("-0", "0", "0.0", "60.5", "100", "150.0", "-1", "abc", "1e400", "") + tuple(
-        repr(rng.uniform(0, 100)) for _ in range(40)
-    )
-    lines = [",".join(TRANSCRIPT_COLUMNS + ((REFINED_MARK_COLUMN,) if refined else ()))]
-    for n in range(600):
-        module, exam, cswk = (rng.choice(texts) for _ in range(3))
-        row = [f"S{n % 7}", "CS", rng.choice(("1", "2", "x")), f"M{n % 5}", module, exam, cswk, "50", "50"]
-        lines.append(",".join(row + ([rng.choice(texts)] if refined else [])))
-    text = "\n".join(lines) + "\n"
-
-    def outcome(memo_size: int):
-        monkeypatch.setattr(ingest, "_MARK_MEMO_SIZE", memo_size)
-        records, marks, report = ingest.parse_any_transcript_csv(io.StringIO(text))
-        return [
-            tuple(repr(value) for value in (
-                r.student_id, r.department, r.year_level, r.module_code, r.module_mark, r.exam_mark, r.cswk_mark,
-            )) + (r.weighting,)
-            for r in records
-        ], [repr(mark) for mark in marks], report
-
-    expected = outcome(ingest._MARK_MEMO_SIZE)
-    assert 0 < expected[2].accepted_count < 600
-    for memo_size in (0, 1, 5, 30):
-        assert outcome(memo_size) == expected
 
 
 def reference_transcript_csv(records: Sequence[StudentModuleOutcome], refined_marks=None) -> str:
