@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 # Readers for the JSON documents markprep loads (saved models and
@@ -111,16 +111,7 @@ class AssessmentWeighting:
             )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class StudentModuleOutcome:
-    """One student's result on one module.
-
-    A component mark must be None when the matching weight is zero: a purely
-    exam-assessed module has no coursework mark to record, and vice versa.
-    A None mark on a weighted component is legal and means the value is
-    missing; the ingest missing-data policy decides what to do with it.
-    """
-
+class _OutcomeFields(NamedTuple):
     student_id: str
     department: str
     year_level: int
@@ -130,11 +121,25 @@ class StudentModuleOutcome:
     cswk_mark: float | None
     weighting: AssessmentWeighting
 
-    # Written by hand, since the parser builds one record per transcript
-    # row: the generated frozen __init__ sets each field through
-    # object.__setattr__ and then calls __post_init__.
-    def __init__(
-        self,
+
+class StudentModuleOutcome(_OutcomeFields):
+    """One student's result on one module.
+
+    A component mark must be None when the matching weight is zero: a purely
+    exam-assessed module has no coursework mark to record, and vice versa.
+    A None mark on a weighted component is legal and means the value is
+    missing; the ingest missing-data policy decides what to do with it.
+
+    A record is a named tuple, so a loop can unpack it.  Every public way to
+    build one, ``_make`` and ``_replace`` included, runs the checks below;
+    the transcript parser, which has checked every cell already, builds its
+    records with ``tuple.__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         student_id: str,
         department: str,
         year_level: int,
@@ -143,35 +148,38 @@ class StudentModuleOutcome:
         exam_mark: float | None,
         cswk_mark: float | None,
         weighting: AssessmentWeighting,
-    ) -> None:
+    ) -> "StudentModuleOutcome":
         if not student_id:
             raise ValueError("student_id must be non-empty")
+        if not department:
+            raise ValueError("department must be non-empty")
         if not module_code:
             raise ValueError("module_code must be non-empty")
         if not isinstance(year_level, int) or isinstance(year_level, bool):
             raise ValueError(f"year_level must be an integer, got {year_level!r}")
         if year_level < 0:
             raise ValueError(f"year_level must be >= 0, got {year_level}")
-        if not 0.0 <= module_mark <= 100.0:
+        # a bool compares as 0 or 1, and would be written as 0.0 or 1.0
+        if isinstance(module_mark, bool) or not 0.0 <= module_mark <= 100.0:
             raise ValueError(f"module_mark must lie in [0, 100], got {module_mark!r}")
         if exam_mark is not None:
             if weighting.exam_weight == 0:
                 raise ValueError("exam_mark must be absent when its weight is 0")
-            if not 0.0 <= exam_mark <= 100.0:
+            if isinstance(exam_mark, bool) or not 0.0 <= exam_mark <= 100.0:
                 raise ValueError(f"exam_mark must lie in [0, 100], got {exam_mark!r}")
         if cswk_mark is not None:
             if weighting.coursework_weight == 0:
                 raise ValueError("cswk_mark must be absent when its weight is 0")
-            if not 0.0 <= cswk_mark <= 100.0:
+            if isinstance(cswk_mark, bool) or not 0.0 <= cswk_mark <= 100.0:
                 raise ValueError(f"cswk_mark must lie in [0, 100], got {cswk_mark!r}")
-        _set_student_id(self, student_id)
-        _set_department(self, department)
-        _set_year_level(self, year_level)
-        _set_module_code(self, module_code)
-        _set_module_mark(self, module_mark)
-        _set_exam_mark(self, exam_mark)
-        _set_cswk_mark(self, cswk_mark)
-        _set_weighting(self, weighting)
+        return tuple.__new__(
+            cls, (student_id, department, year_level, module_code, module_mark, exam_mark, cswk_mark, weighting)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "StudentModuleOutcome":
+        # _replace builds through _make, so it is checked too
+        return cls(*iterable)
 
     @property
     def missing_component_fields(self) -> tuple[str, ...]:
@@ -187,20 +195,6 @@ class StudentModuleOutcome:
     def car(self) -> float:
         """The coursework assessment ratio (CAR), coursework weight / 100; defined only here."""
         return self.weighting.coursework_weight / 100
-
-
-# The slot descriptors of the class the decorator returned (slots=True
-# builds a new class); their __set__ bypasses the frozen __setattr__.
-(
-    _set_student_id,
-    _set_department,
-    _set_year_level,
-    _set_module_code,
-    _set_module_mark,
-    _set_exam_mark,
-    _set_cswk_mark,
-    _set_weighting,
-) = (StudentModuleOutcome.__dict__[f.name].__set__ for f in fields(StudentModuleOutcome))
 
 
 @dataclass(frozen=True, slots=True)

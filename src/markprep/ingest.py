@@ -189,8 +189,10 @@ def _parse_transcript(
     ``refined``, and None picks the schema from the header.
 
     Each cell is checked once, in column order, and a check that fails
-    writes its reject then; a row that wrote none is the one place a record
-    is built from CSV cells.
+    writes its reject then.  A row that wrote none becomes a record through
+    ``tuple.__new__``, which skips ``StudentModuleOutcome``'s checks: the
+    row pass has made every one of them already.  This is the one place a
+    record is built unchecked.
     """
     reader = csv.reader(io.StringIO(_read_text(source), newline=""))
     try:
@@ -315,10 +317,10 @@ def _parse_transcript(
             if not refined_ok:
                 continue
             records.append(
-                StudentModuleOutcome(
+                tuple.__new__(StudentModuleOutcome, (
                     name(student_id, student_id), name(department, department), year_level,
                     name(module_code, module_code), module_mark, exam_mark, cswk_mark, weighting,
-                )
+                ))
             )
             if refined:
                 refined_marks.append(refined_mark)
@@ -460,12 +462,6 @@ def deduplicate(
     return kept, IngestReport(len(kept), len(records) - len(kept), issues)
 
 
-def _format_mark(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
 class _CsvCells(dict):
     """Each text value mapped to its CSV cell, worked out on first use.
 
@@ -499,16 +495,17 @@ def write_transcript_csv(
         )
     columns = TRANSCRIPT_COLUMNS if refined_marks is None else (*TRANSCRIPT_COLUMNS, REFINED_MARK_COLUMN)
     cells = _CsvCells()
+    # float() first, so an int mark given through the API writes as 60.0
     lines = (
-        f"{cells[r.student_id]},{cells[r.department]},{r.year_level},{cells[r.module_code]},"
-        f"{_format_mark(r.module_mark)},{_format_mark(r.exam_mark)},{_format_mark(r.cswk_mark)},"
-        f"{r.weighting.exam_weight},{r.weighting.coursework_weight}"
-        for r in records
+        f"{cells[student_id]},{cells[department]},{year_level},{cells[module_code]},{float(module_mark)!r},"
+        f"{'' if exam_mark is None else repr(float(exam_mark))},{'' if cswk_mark is None else repr(float(cswk_mark))},"
+        f"{weighting.exam_weight},{weighting.coursework_weight}"
+        for student_id, department, year_level, module_code, module_mark, exam_mark, cswk_mark, weighting in records
     )
     if refined_marks is None:
         rows = (f"{line}\n" for line in lines)
     else:
-        rows = (f"{line},{_format_mark(mark)}\n" for line, mark in zip(lines, refined_marks))
+        rows = (f"{line},{'' if mark is None else repr(float(mark))}\n" for line, mark in zip(lines, refined_marks))
 
     def emit(stream: IO[str]) -> None:
         stream.write(",".join(columns) + "\n")

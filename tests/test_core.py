@@ -1,7 +1,7 @@
 """Domain types: weightings, ratios, banding."""
 from __future__ import annotations
 
-import dataclasses
+import pickle
 
 import pytest
 
@@ -94,27 +94,46 @@ def test_outcome_range_checks() -> None:
     with pytest.raises(ValueError):
         make_outcome(year_level=-1)
     make_outcome(year_level=0)  # preparatory year is legitimate
+    # what the parser rejects as an empty cell, or would read back changed
+    with pytest.raises(ValueError, match="department must be non-empty"):
+        make_outcome(department="")
+    for field in ("mark", "exam_mark", "cswk_mark"):
+        with pytest.raises(ValueError, match="must lie in"):
+            make_outcome(**{field: True})
 
 
-def test_outcome_constructor_behaves_as_a_frozen_dataclass() -> None:
-    # the hand-written __init__ keeps what the generated one gave
+def test_outcome_is_a_checked_named_tuple() -> None:
     weighting = AssessmentWeighting(50, 50)
     positional = StudentModuleOutcome("S1", "CS", 1, "M1", 60.0, 58.0, 62.0, weighting)
     keyword = make_outcome()
     assert positional == keyword
     assert hash(positional) == hash(keyword)
-    assert repr(positional) == repr(keyword)
-    assert [f.name for f in dataclasses.fields(StudentModuleOutcome)] == [
+    assert repr(positional) == repr(keyword) == (
+        "StudentModuleOutcome(student_id='S1', department='CS', year_level=1, module_code='M1', "
+        "module_mark=60.0, exam_mark=58.0, cswk_mark=62.0, "
+        "weighting=AssessmentWeighting(exam_weight=50, coursework_weight=50))"
+    )
+    assert StudentModuleOutcome._fields == (
         "student_id", "department", "year_level", "module_code",
         "module_mark", "exam_mark", "cswk_mark", "weighting",
-    ]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    )
+    assert tuple(positional) == ("S1", "CS", 1, "M1", 60.0, 58.0, 62.0, weighting)
+    with pytest.raises(AttributeError):
         positional.module_mark = 70.0  # type: ignore[misc]
-    assert dataclasses.replace(positional, module_mark=61.0).module_mark == 61.0
+    with pytest.raises(AttributeError):
+        positional.note = "x"  # type: ignore[attr-defined]
+    replaced = positional._replace(module_mark=61.0)
+    assert type(replaced) is StudentModuleOutcome and replaced.module_mark == 61.0
+    # every public way to build a record checks it
     with pytest.raises(ValueError, match="module_mark must lie in"):
-        dataclasses.replace(positional, module_mark=101)
+        positional._replace(module_mark=101)
+    with pytest.raises(ValueError, match="cswk_mark must be absent"):
+        positional._replace(weighting=AssessmentWeighting(100, 0))
+    with pytest.raises(ValueError, match="department must be non-empty"):
+        StudentModuleOutcome._make(["S1", "", 1, "M1", 60.0, 58.0, 62.0, weighting])
     with pytest.raises(ValueError, match="year_level must be an integer"):
         make_outcome(year_level=True)  # type: ignore[arg-type]
+    assert pickle.loads(pickle.dumps(positional)) == positional
 
 
 def test_compute_car_is_coursework_share() -> None:

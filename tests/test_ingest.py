@@ -461,6 +461,46 @@ def test_writer_matches_csv_writer(tmp_path: Path, refined: bool) -> None:
     assert report.rejected_count == 0
 
 
+# Field values the constructor takes and values it refuses: each text the
+# writer must quote, an empty text, years and marks at and past their
+# bounds, bools, an int mark, a negative zero and the smallest subnormal.
+ROUND_TRIP_TEXTS = ("S1", "a,b", 'q"', "\r", "\n", " ", "\u4e2d", "")
+ROUND_TRIP_YEARS = (0, 3, 10**20, -1, True)
+ROUND_TRIP_MARKS = (0.0, -0.0, 100.0, 61, 5e-324, 59.87654321098765, 0.1 + 0.2, 100.5, -1e-9, True, False, math.nan)
+ROUND_TRIP_SPLITS = ((0, 100), (30, 70), (50, 50), (100, 0))
+
+
+def test_every_record_the_constructor_takes_survives_a_write_and_parse(tmp_path: Path) -> None:
+    rng = random.Random(24)
+    accepted, refused = [], set()
+    for _ in range(20000):
+        fields = (
+            rng.choice(ROUND_TRIP_TEXTS), rng.choice(ROUND_TRIP_TEXTS), rng.choice(ROUND_TRIP_YEARS),
+            rng.choice(ROUND_TRIP_TEXTS), rng.choice(ROUND_TRIP_MARKS),
+            rng.choice(ROUND_TRIP_MARKS + (None,)), rng.choice(ROUND_TRIP_MARKS + (None,)),
+            AssessmentWeighting(*rng.choice(ROUND_TRIP_SPLITS)),
+        )
+        try:
+            accepted.append(StudentModuleOutcome(*fields))
+        except ValueError as exc:
+            refused.add(str(exc).split()[0])
+    assert refused == {
+        "student_id", "department", "year_level", "module_code", "module_mark", "exam_mark", "cswk_mark",
+    }
+    assert len(accepted) > 500
+    path = tmp_path / "out.csv"
+    write_transcript_csv(accepted, path)
+    parsed, report = parse_transcript_csv(path)
+    assert parsed == accepted
+    # value for value and type for type, but for an int mark, which is
+    # written as the float it equals
+    for got, sent in zip(parsed, accepted):
+        assert [type(a) for a in got] == [float if type(b) is int and i in (4, 5, 6) else type(b) for i, b in enumerate(sent)]
+    assert report.rejected_count == 0
+    # a module mark its components do not recombine to is kept, with a warning
+    assert {(i.category, i.severity) for i in report.issues} == {(IssueCategory.DISTILLATION, Severity.WARN)}
+
+
 # The parser's whole error behaviour, pinned: every column of both schemas
 # takes every value of GRID_VALUES on an otherwise valid row, and
 # GRID_CASES add weight sums, marks on zero-weight components, the
@@ -701,3 +741,45 @@ def test_parse_matches_reference_row_checks(refined: bool) -> None:
             assert mark == float(row[-1])
     assert next(accepted, None) is None
     assert 0 < report.accepted_count < len(rows)
+
+
+def dirty_faculty_rows(refined: bool) -> list[list[str]]:
+    """A generated three-department transcript, a few rows repeated and one
+    cell in every twentieth row set to a FUZZ_VALUES cell."""
+    from markprep import CohortSpec, DepartmentProfile, generate_cohort
+
+    spec = CohortSpec(
+        departments=(
+            DepartmentProfile("ART", 30, 4, (0, 10, 25, 55, 100)),
+            DepartmentProfile("BIO", 30, 3, (0, 100)),
+            DepartmentProfile("DES", 30, 3, (20, 60)),
+        ),
+        seed=5,
+    )
+    records = generate_cohort(spec)
+    text = io.StringIO()
+    write_transcript_csv(records, text, refined_marks=[r.module_mark - 1.5 for r in records] if refined else None)
+    rows = list(csv.reader(io.StringIO(text.getvalue())))[1:]
+    rng = random.Random(24)
+    rows += rng.sample(rows, 20)
+    for row in rows[::20]:
+        row[rng.randrange(len(row))] = rng.choice(FUZZ_VALUES)
+    return rows
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["canonical", "refined"])
+def test_parsed_records_are_records_the_constructor_builds(refined: bool) -> None:
+    # the parser builds its records unchecked, trusting its own row pass
+    columns = TRANSCRIPT_COLUMNS + ((REFINED_MARK_COLUMN,) if refined else ())
+    rows = grid_rows(refined) + dirty_faculty_rows(refined)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([columns, *rows])
+    text.seek(0)
+    records = (parse_refined_transcript_csv if refined else parse_transcript_csv)(text)[0]
+    assert 800 < len(records) < len(rows)
+    for record in records:
+        assert type(record) is StudentModuleOutcome
+        assert StudentModuleOutcome(*record) == record
+    # the grid's "-0" exam mark is a negative zero inside the tuple
+    negative = [r for r in records if r.student_id == "S1" and r.exam_mark == 0.0]
+    assert len(negative) == 1 and math.copysign(1.0, negative[0][5]) == -1.0

@@ -113,3 +113,17 @@ def test_only_the_entry_point_freezes_the_heap(call: str, frozen: bool) -> None:
     result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stderr == f"{frozen}\n"
+
+
+def test_only_the_parser_builds_unchecked_records() -> None:
+    # tuple.__new__ skips StudentModuleOutcome's checks; besides the checked
+    # __new__ itself, only the parser, which has checked every cell, uses it
+    calls, references = [], 0
+    for module in sorted((SRC / "markprep").glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "__new__" and getattr(node.value, "id", None) == "tuple":
+                references += 1
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple.__new__":
+                calls.append((module.name, ast.unparse(node.args[0])))
+    assert sorted(calls) == [("core.py", "cls"), ("ingest.py", "StudentModuleOutcome")]
+    assert references == len(calls)  # and no alias of it
