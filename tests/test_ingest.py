@@ -16,6 +16,8 @@ from markprep import (
     REFINED_MARK_COLUMN,
     TRANSCRIPT_COLUMNS,
     AssessmentWeighting,
+    CohortSpec,
+    DepartmentProfile,
     IssueCategory,
     MissingPolicy,
     Severity,
@@ -24,6 +26,7 @@ from markprep import (
     ValidationIssue,
     apply_missing_policy,
     deduplicate,
+    generate_cohort,
     parse_refined_transcript_csv,
     parse_transcript_csv,
     write_transcript_csv,
@@ -494,8 +497,9 @@ def test_every_record_the_constructor_takes_survives_a_write_and_parse(tmp_path:
     assert parsed == accepted
     # value for value and type for type, but for an int mark, which is
     # written as the float it equals
+    marks = range(4, 7)
     for got, sent in zip(parsed, accepted):
-        assert [type(a) for a in got] == [float if type(b) is int and i in (4, 5, 6) else type(b) for i, b in enumerate(sent)]
+        assert [type(a) for a in got] == [float if i in marks and type(b) is int else type(b) for i, b in enumerate(sent)]
     assert report.rejected_count == 0
     # a module mark its components do not recombine to is kept, with a warning
     assert {(i.category, i.severity) for i in report.issues} == {(IssueCategory.DISTILLATION, Severity.WARN)}
@@ -746,8 +750,6 @@ def test_parse_matches_reference_row_checks(refined: bool) -> None:
 def dirty_faculty_rows(refined: bool) -> list[list[str]]:
     """A generated three-department transcript, a few rows repeated and one
     cell in every twentieth row set to a FUZZ_VALUES cell."""
-    from markprep import CohortSpec, DepartmentProfile, generate_cohort
-
     spec = CohortSpec(
         departments=(
             DepartmentProfile("ART", 30, 4, (0, 10, 25, 55, 100)),
@@ -761,7 +763,7 @@ def dirty_faculty_rows(refined: bool) -> list[list[str]]:
     write_transcript_csv(records, text, refined_marks=[r.module_mark - 1.5 for r in records] if refined else None)
     rows = list(csv.reader(io.StringIO(text.getvalue())))[1:]
     rng = random.Random(24)
-    rows += rng.sample(rows, 20)
+    rows += [list(row) for row in rng.sample(rows, 20)]
     for row in rows[::20]:
         row[rng.randrange(len(row))] = rng.choice(FUZZ_VALUES)
     return rows
