@@ -11,12 +11,16 @@ def run() -> None:
     """Run the CLI in a process of its own.
 
     Every object made while importing the CLI lives until the process
-    exits, so it is moved out of the collector's reach first: neither the
-    collections while a command runs nor the one at shutdown walk it.
-    ``main`` itself does not freeze, so an in-process caller's collector
-    is left as it was.
+    exits, so it is moved out of the collector's reach first: the
+    collection at shutdown does not walk it.  Then the cyclic collector is
+    switched off.  A command keeps its records until it exits and makes
+    almost no reference cycles, so a collection while it runs frees next to
+    nothing but rescans every record it holds; reference counting still
+    frees everything else.  ``main`` itself neither freezes nor disables,
+    so an in-process caller's collector is left as it was.
     """
     gc.freeze()
+    gc.disable()
     main()
 
 

@@ -486,13 +486,21 @@ def write_transcript_csv(
 
     Floats are written in shortest round-trip form, so parsing the output
     reproduces the records exactly.  Rows are written as they are made, so
-    the file is never held whole in memory.
+    the file is never held whole in memory.  A refined mark that the
+    refined reader would reject (None, a bool or not finite) raises
+    ``ValueError`` before anything is written.
     """
-    if refined_marks is not None and len(refined_marks) != len(records):
-        raise ValueError(
-            f"refined marks length {len(refined_marks)} does not match "
-            f"record count {len(records)}"
-        )
+    if refined_marks is not None:
+        if len(refined_marks) != len(records):
+            raise ValueError(
+                f"refined marks length {len(refined_marks)} does not match "
+                f"record count {len(records)}"
+            )
+        isfinite = math.isfinite
+        for index, mark in enumerate(refined_marks):
+            # bool is refused as the record constructor refuses bool marks
+            if mark is None or mark.__class__ is bool or not isfinite(mark):
+                raise ValueError(f"refined mark {index} must be a finite number, got {mark!r}")
     columns = TRANSCRIPT_COLUMNS if refined_marks is None else (*TRANSCRIPT_COLUMNS, REFINED_MARK_COLUMN)
     cells = _CsvCells()
     # float() first, so an int mark given through the API writes as 60.0
@@ -505,7 +513,7 @@ def write_transcript_csv(
     if refined_marks is None:
         rows = (f"{line}\n" for line in lines)
     else:
-        rows = (f"{line},{'' if mark is None else repr(float(mark))}\n" for line, mark in zip(lines, refined_marks))
+        rows = (f"{line},{float(mark)!r}\n" for line, mark in zip(lines, refined_marks))
 
     def emit(stream: IO[str]) -> None:
         stream.write(",".join(columns) + "\n")

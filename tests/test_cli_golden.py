@@ -105,8 +105,9 @@ def collect_outputs() -> dict[str, bytes]:
 
 
 def write_dirty_copy(cohort: Path) -> None:
-    """``dirty.csv``: the cohort with an out-of-range mark, an exact and a
-    conflicting duplicate, a blank weighted component and a short row."""
+    """``dirty.csv`` beside the cohort: the cohort with an out-of-range
+    mark, an exact and a conflicting duplicate, a blank weighted component
+    and a short row."""
     header, *lines = cohort.read_text().splitlines()
     rows = [line.split(",") for line in lines]
     rows[4][4] = "150"  # module_mark
@@ -114,7 +115,7 @@ def write_dirty_copy(cohort: Path) -> None:
     rows[blank][5] = ""  # exam_mark, weighted since no cell was blank
     rows[40] = rows[40][:8]
     rows += [rows[10], [*rows[20][:4], "1.5", *rows[20][5:]]]
-    Path("dirty.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    cohort.with_name("dirty.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
 
 
 def collect_dirty_outputs() -> dict[str, bytes]:

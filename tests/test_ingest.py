@@ -295,6 +295,19 @@ def test_refined_round_trip(tmp_path: Path) -> None:
     assert report.rejected_count == 0
 
 
+@pytest.mark.parametrize("bad", [None, True, math.nan, math.inf, -math.inf], ids=repr)
+def test_writer_refuses_a_refined_mark_its_reader_rejects(tmp_path: Path, bad: object) -> None:
+    records = [make_outcome(module_code="A"), make_outcome(module_code="B")]
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=rf"^refined mark 1 must be a finite number, got {bad!r}$"):
+        write_transcript_csv(records, stream, refined_marks=[57.3, bad])
+    assert stream.getvalue() == ""
+    path = tmp_path / "refined.csv"
+    with pytest.raises(ValueError, match="refined mark 1"):
+        write_transcript_csv(records, path, refined_marks=[57.3, bad])
+    assert not path.exists()
+
+
 def test_refined_schema_requires_extra_column(tmp_path: Path) -> None:
     path = tmp_path / "plain.csv"
     write_transcript_csv([make_outcome()], path)

@@ -6,17 +6,19 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import markprep
 import markprep.evaluation
+from test_cli_golden import write_dirty_copy
 
 SRC = Path(markprep.__file__).resolve().parent.parent
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     """A fresh interpreter, importing the same markprep as this test run."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -24,6 +26,7 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
         timeout=120,
     )
 
@@ -99,20 +102,77 @@ def test_console_script_is_the_process_entry_point() -> None:
 
 
 @pytest.mark.parametrize(
-    ("call", "frozen"),
+    ("call", "entry_point"),
     [("from markprep.__main__ import run; run()", True), ("from markprep.cli import main; main()", False)],
     ids=["run", "main"],
 )
-def test_only_the_entry_point_freezes_the_heap(call: str, frozen: bool) -> None:
+def test_only_the_entry_point_freezes_the_heap(call: str, entry_point: bool) -> None:
+    # and only the entry point switches the cyclic collector off
     probe = (
         "import atexit, gc, sys\n"
         "sys.argv[1:] = ['--version']\n"
-        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))\n"
         f"{call}\n"
     )
     result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
-    assert result.stderr == f"{frozen}\n"
+    assert result.stderr == f"{entry_point} {not entry_point}\n"
+
+
+# A command run through the entry point, with the count of unreachable
+# objects a full collection finds once the command has finished.
+GARBAGE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('cyclic garbage', gc.collect(), file=sys.stderr))\n"
+    "from markprep.__main__ import run\n"
+    "run()\n"
+)
+
+
+def cyclic_garbage(directory: Path, *args: str, expect: int = 0) -> int:
+    result = run_python("-c", GARBAGE_PROBE, *args, cwd=directory)
+    assert result.returncode == expect, result.stderr
+    label, count = result.stderr.splitlines()[-1].rsplit(" ", 1)
+    assert label == "cyclic garbage", result.stderr
+    return int(count)
+
+
+def garbage_per_command(directory: Path, students: int) -> dict[str, int]:
+    """Each command's cyclic garbage on a dirty generated transcript."""
+    directory.mkdir()
+    garbage = {"generate": cyclic_garbage(directory, "generate", "--students", str(students), "--seed", "17")}
+    write_dirty_copy(directory / "cohort.csv")
+    header, *lines = (directory / "cohort.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    for cells in rows:
+        cells[4] = "101"  # module_mark: every row is rejected
+    (directory / "rejected.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    for fmt in ("text", "json"):
+        garbage[f"validate.{fmt}"] = cyclic_garbage(directory, "validate", "dirty.csv", "--format", fmt, expect=1)
+        garbage[f"stats.{fmt}"] = cyclic_garbage(directory, "stats", "dirty.csv", "--format", fmt)
+        for scope, flags in (("pooled", ()), ("per_department", ("--per-department",))):
+            garbage[f"refine.{scope}.{fmt}"] = cyclic_garbage(
+                directory, "refine", "dirty.csv", *flags, "--format", fmt,
+                "--out", f"{scope}.refined.csv", "--model-out", f"{scope}.model.json",
+            )
+        garbage[f"evaluate.{fmt}"] = cyclic_garbage(
+            directory, "evaluate", "pooled.refined.csv", "--trees", "5", "--format", fmt, "--output", f"evaluation.{fmt}"
+        )
+    for fmt in ("text", "json"):
+        garbage[f"report.{fmt}"] = cyclic_garbage(directory, "report", "evaluation.json", "--format", fmt)
+    garbage["usage_error"] = cyclic_garbage(directory, "evaluate", "pooled.refined.csv", "--max-features", "9", expect=2)
+    garbage["data_error"] = cyclic_garbage(directory, "stats", "rejected.csv", expect=1)
+    return garbage
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path: Path) -> None:
+    # The entry point runs every command with the cyclic collector off, so
+    # the only cycles it may leave are a fixed few, whatever the input size.
+    # Each size runs its commands in order, the two sizes side by side.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        small, large = pool.map(lambda students: garbage_per_command(tmp_path / str(students), students), (60, 600))
+    assert small == large
+    assert max(small.values()) <= 100, small
 
 
 def test_only_the_parser_builds_unchecked_records() -> None:
