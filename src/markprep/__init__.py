@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "DEFAULT_BANDING": "core",
     "DEFAULT_TEST_FRACTION": "core",
-    "AssessmentWeighting": "core",
     "BandingScheme": "core",
     "DegreeBand": "core",
     "StudentModuleOutcome": "core",

@@ -15,8 +15,10 @@ def run() -> None:
     collection at shutdown does not walk it.  Then the cyclic collector is
     switched off.  A command keeps its records until it exits and makes
     almost no reference cycles, so a collection while it runs frees next to
-    nothing but rescans every record it holds; reference counting still
-    frees everything else.  ``main`` itself neither freezes nor disables,
+    nothing but rescans every record it holds: a record is a tuple
+    subclass, which the collector never untracks, though it untracks a
+    plain tuple of numbers and strings.  Reference counting still frees
+    everything else.  ``main`` itself neither freezes nor disables,
     so an in-process caller's collector is left as it was.
     """
     gc.freeze()

@@ -829,9 +829,9 @@ def _comparison_report(result: ComparisonResult, format: str) -> str:
 @click.argument("input_csv", type=click.Path(), required=False)
 @click.option("--from-fixture", is_flag=True, default=False, help="Print the published confusion-matrix fixtures instead of evaluating data.")
 @click.option("--test-fraction", type=_FiniteFloatRange(0, 1, min_open=True, max_open=True), default=DEFAULT_TEST_FRACTION, help=f"Holdout test share.  [default: {DEFAULT_TEST_FRACTION}]")
-@click.option("--trees", type=int, default=100, help="Number of trees.  [default: 100]")
-@click.option("--max-features", type=int, default=None, help="Features tried per node.  [default: ceil(sqrt(d))]")
-@click.option("--min-leaf", type=int, default=1, help="Minimum rows per leaf.  [default: 1]")
+@click.option("--trees", type=click.IntRange(min=1), default=100, help="Number of trees.  [default: 100]")
+@click.option("--max-features", type=click.IntRange(min=1), default=None, help="Features tried per node.  [default: ceil(sqrt(d))]")
+@click.option("--min-leaf", type=click.IntRange(min=1), default=1, help="Minimum rows per leaf.  [default: 1]")
 @click.option("--no-bootstrap", is_flag=True, default=False, help="Train every tree on the full training set instead of bootstrap resamples.")
 @click.option("--auc-average", type=click.Choice(["weighted", "macro"]), default="weighted", help="Multiclass AUC averaging.  [default: weighted]")
 @click.option("--target-year", type=click.IntRange(min=0), default=3, help="Year whose band is predicted.  [default: 3]")
@@ -900,15 +900,9 @@ def evaluate(
         _data_error(
             f"only {len(table.rows)} students have complete year coverage; cannot evaluate"
         )
-    try:
-        params = ForestParams(
-            tree_count=trees,
-            max_features=max_features,
-            min_leaf=min_leaf,
-            bootstrap=not no_bootstrap,
-        )
-    except ValueError as exc:
-        _usage_error(str(exc))
+    params = ForestParams(
+        tree_count=trees, max_features=max_features, min_leaf=min_leaf, bootstrap=not no_bootstrap
+    )
     n_features = len(table.column_names)
     if max_features is not None and max_features > n_features:
         _usage_error(

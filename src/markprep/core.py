@@ -2,8 +2,9 @@
 
 A transcript row records one student's outcome on one module: the overall
 module mark, the exam and coursework component marks where applicable, and
-the weighting that combined them.  The coursework assessment ratio (CAR) is
-the coursework share of that weighting, as a fraction in [0, 1].
+the coursework weight, the integer percentage of the module mark that
+coursework carried; the exam carried the rest.  The coursework assessment
+ratio (CAR) is that weight as a fraction in [0, 1].
 """
 from __future__ import annotations
 
@@ -94,23 +95,6 @@ _BAND_LABELS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class AssessmentWeighting:
-    """Integer percentage split between exam and coursework assessment."""
-
-    exam_weight: int
-    coursework_weight: int
-
-    def __post_init__(self) -> None:
-        read_count("exam_weight", self.exam_weight)
-        read_count("coursework_weight", self.coursework_weight)
-        if self.exam_weight + self.coursework_weight != 100:
-            raise ValueError(
-                "weights must sum to 100, got "
-                f"{self.exam_weight} + {self.coursework_weight}"
-            )
-
-
 class _OutcomeFields(NamedTuple):
     student_id: str
     department: str
@@ -119,7 +103,7 @@ class _OutcomeFields(NamedTuple):
     module_mark: float
     exam_mark: float | None
     cswk_mark: float | None
-    weighting: AssessmentWeighting
+    cswk_weight: int
 
 
 class StudentModuleOutcome(_OutcomeFields):
@@ -147,7 +131,7 @@ class StudentModuleOutcome(_OutcomeFields):
         module_mark: float,
         exam_mark: float | None,
         cswk_mark: float | None,
-        weighting: AssessmentWeighting,
+        cswk_weight: int,
     ) -> "StudentModuleOutcome":
         if not student_id:
             raise ValueError("student_id must be non-empty")
@@ -159,21 +143,23 @@ class StudentModuleOutcome(_OutcomeFields):
             raise ValueError(f"year_level must be an integer, got {year_level!r}")
         if year_level < 0:
             raise ValueError(f"year_level must be >= 0, got {year_level}")
+        if not isinstance(cswk_weight, int) or isinstance(cswk_weight, bool) or not 0 <= cswk_weight <= 100:
+            raise ValueError(f"cswk_weight must be an integer in [0, 100], got {cswk_weight!r}")
         # a bool compares as 0 or 1, and would be written as 0.0 or 1.0
         if isinstance(module_mark, bool) or not 0.0 <= module_mark <= 100.0:
             raise ValueError(f"module_mark must lie in [0, 100], got {module_mark!r}")
         if exam_mark is not None:
-            if weighting.exam_weight == 0:
+            if cswk_weight == 100:
                 raise ValueError("exam_mark must be absent when its weight is 0")
             if isinstance(exam_mark, bool) or not 0.0 <= exam_mark <= 100.0:
                 raise ValueError(f"exam_mark must lie in [0, 100], got {exam_mark!r}")
         if cswk_mark is not None:
-            if weighting.coursework_weight == 0:
+            if cswk_weight == 0:
                 raise ValueError("cswk_mark must be absent when its weight is 0")
             if isinstance(cswk_mark, bool) or not 0.0 <= cswk_mark <= 100.0:
                 raise ValueError(f"cswk_mark must lie in [0, 100], got {cswk_mark!r}")
         return tuple.__new__(
-            cls, (student_id, department, year_level, module_code, module_mark, exam_mark, cswk_mark, weighting)
+            cls, (student_id, department, year_level, module_code, module_mark, exam_mark, cswk_mark, cswk_weight)
         )
 
     @classmethod
@@ -185,16 +171,16 @@ class StudentModuleOutcome(_OutcomeFields):
     def missing_component_fields(self) -> tuple[str, ...]:
         """Names of weighted components whose mark is absent."""
         missing = []
-        if self.weighting.exam_weight > 0 and self.exam_mark is None:
+        if self.cswk_weight < 100 and self.exam_mark is None:
             missing.append("exam_mark")
-        if self.weighting.coursework_weight > 0 and self.cswk_mark is None:
+        if self.cswk_weight > 0 and self.cswk_mark is None:
             missing.append("cswk_mark")
         return tuple(missing)
 
     @property
     def car(self) -> float:
         """The coursework assessment ratio (CAR), coursework weight / 100; defined only here."""
-        return self.weighting.coursework_weight / 100
+        return self.cswk_weight / 100
 
 
 @dataclass(frozen=True, slots=True)

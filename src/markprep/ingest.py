@@ -28,7 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .core import AssessmentWeighting, StudentModuleOutcome
+from .core import StudentModuleOutcome
 
 TRANSCRIPT_COLUMNS = (
     "student_id",
@@ -166,12 +166,6 @@ def _check_header(header: Sequence[str] | None, expected: Sequence[str]) -> None
         )
 
 
-# Rows with the same split share one weighting, which is frozen.  A split
-# is two non-negative integers summing to 100, so this holds at most 101
-# entries.
-_WEIGHTINGS: dict[tuple[int, int], AssessmentWeighting] = {}
-
-
 def _reject(
     issues: list[ValidationIssue],
     row_number: int,
@@ -210,15 +204,15 @@ def _parse_transcript(
     # Cells repeat: a faculty's file holds a few thousand distinct marks,
     # ids and codes, a few years and a few weight splits.  So each distinct
     # text is checked and converted once per parse: a mark to one float, a
-    # year to one int, a pair of weight texts to one weighting and a name to
-    # one str, which the records then share.  A text that fails is checked
-    # again wherever it appears, and a refined mark, whose range differs, is
-    # checked cell by cell.
+    # year to one int, a pair of weight texts to one coursework weight and a
+    # name to one str, which the records then share.  A text that fails is
+    # checked again wherever it appears, and a refined mark, whose range
+    # differs, is checked cell by cell.
     marks: dict[str, float] = {}
     years: dict[str, int] = {}
     names: dict[str, str] = {}
     mark_get, year_get, name = marks.get, years.get, names.setdefault
-    weightings: dict[tuple[str, str], AssessmentWeighting] = {}
+    weights: dict[tuple[str, str], int] = {}
     zero_weight = "mark recorded for a component with zero weight"
     records: list[StudentModuleOutcome] = []
     refined_marks: list[float] = []
@@ -270,8 +264,8 @@ def _parse_transcript(
                     marks[cswk_text] = cswk_mark
                 else:
                     _reject(issues, row_number, "cswk_mark", _mark_fault(cswk_text))
-            weighting = weightings.get((exam_weight_text, cswk_weight_text))
-            if weighting is None:
+            cswk_weight = weights.get((exam_weight_text, cswk_weight_text))
+            if cswk_weight is None:
                 # a split is two counts summing to 100
                 exam_count = exam_weight_text.isdecimal() and exam_weight_text.isascii()
                 if not exam_count:
@@ -280,18 +274,13 @@ def _parse_transcript(
                 if not cswk_count:
                     _reject(issues, row_number, "cswk_weight", f"must be a non-negative integer, got {cswk_weight_text!r}")
                 if exam_count and cswk_count:
-                    split = int(exam_weight_text), int(cswk_weight_text)
-                    if sum(split) != 100:
-                        _reject(issues, row_number, "cswk_weight", f"weights sum to {sum(split)}, not 100")
+                    total = int(exam_weight_text) + int(cswk_weight_text)
+                    if total != 100:
+                        _reject(issues, row_number, "cswk_weight", f"weights sum to {total}, not 100")
                     else:
-                        weighting = _WEIGHTINGS.get(split)
-                        if weighting is None:
-                            weighting = _WEIGHTINGS[split] = AssessmentWeighting(*split)
-                        weightings[exam_weight_text, cswk_weight_text] = weighting
-            if weighting is not None:
-                exam_weight = weighting.exam_weight
-                cswk_weight = weighting.coursework_weight
-                if exam_text and not exam_weight:
+                        cswk_weight = weights[exam_weight_text, cswk_weight_text] = int(cswk_weight_text)
+            if cswk_weight is not None:
+                if exam_text and cswk_weight == 100:
                     _reject(issues, row_number, "exam_mark", zero_weight, IssueCategory.MEASUREMENT)
                 if cswk_text and not cswk_weight:
                     _reject(issues, row_number, "cswk_mark", zero_weight, IssueCategory.MEASUREMENT)
@@ -302,10 +291,10 @@ def _parse_transcript(
             # zero-weight component has no mark by now, so the marks present are
             # the weighted ones.  A row rejected only for its refined mark is
             # still checked.
-            if (exam_mark is not None or not exam_weight) and (cswk_mark is not None or not cswk_weight):
+            if (exam_mark is not None or cswk_weight == 100) and (cswk_mark is not None or not cswk_weight):
                 combined = 0  # an int start, like sum(): -0.0 parts give 0.0
                 if exam_mark is not None:
-                    combined += exam_weight * exam_mark
+                    combined += (100 - cswk_weight) * exam_mark
                 if cswk_mark is not None:
                     combined += cswk_weight * cswk_mark
                 combined /= 100.0
@@ -319,7 +308,7 @@ def _parse_transcript(
             records.append(
                 tuple.__new__(StudentModuleOutcome, (
                     name(student_id, student_id), name(department, department), year_level,
-                    name(module_code, module_code), module_mark, exam_mark, cswk_mark, weighting,
+                    name(module_code, module_code), module_mark, exam_mark, cswk_mark, cswk_weight,
                 ))
             )
             if refined:
@@ -401,7 +390,7 @@ def apply_missing_policy(
                     name,
                     IssueCategory.MISSING,
                     f"no mark for a component weighted "
-                    f"{getattr(record.weighting, 'exam_weight' if name == 'exam_mark' else 'coursework_weight')}%",
+                    f"{100 - record.cswk_weight if name == 'exam_mark' else record.cswk_weight}%",
                     severity,
                 )
             )
@@ -507,8 +496,8 @@ def write_transcript_csv(
     lines = (
         f"{cells[student_id]},{cells[department]},{year_level},{cells[module_code]},{float(module_mark)!r},"
         f"{'' if exam_mark is None else repr(float(exam_mark))},{'' if cswk_mark is None else repr(float(cswk_mark))},"
-        f"{weighting.exam_weight},{weighting.coursework_weight}"
-        for student_id, department, year_level, module_code, module_mark, exam_mark, cswk_mark, weighting in records
+        f"{100 - cswk_weight},{cswk_weight}"
+        for student_id, department, year_level, module_code, module_mark, exam_mark, cswk_mark, cswk_weight in records
     )
     if refined_marks is None:
         rows = (f"{line}\n" for line in lines)

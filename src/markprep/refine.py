@@ -341,7 +341,7 @@ def run_refinement_pipeline(
     ratios: defaultdict[str | None, list[float]] = defaultdict(list)
     marks: defaultdict[str | None, list[float]] = defaultdict(list)
     for record in records:
-        weights[record.department].add(record.weighting.coursework_weight)
+        weights[record.department].add(record.cswk_weight)
         scope = record.department if per_department else None
         ratios[scope].append(record.car)
         marks[scope].append(record.module_mark)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import AssessmentWeighting, StudentModuleOutcome, read_count, read_fields, read_list, read_number
+from .core import StudentModuleOutcome, read_count, read_fields, read_list, read_number
 from .streams import Stream, bounded, normal_deviate, uniform
 
 # Largest coursework/exam divergence (in marks) the component split may
@@ -155,7 +155,7 @@ def default_cohort_spec(seed: int, student_count: int = 406) -> CohortSpec:
 
 
 def _split_components(
-    mark: float, weighting: AssessmentWeighting, spread_uniform: float
+    mark: float, cswk_weight: int, spread_uniform: float
 ) -> tuple[float | None, float | None]:
     """Back-fill exam/coursework marks whose weighted mean is ``mark``.
 
@@ -164,14 +164,12 @@ def _split_components(
     we*exam + wc*cswk = mark for any d.  d is uniform on the widest
     symmetric-capped interval keeping both components in [0, 100].
     """
-    exam_w = weighting.exam_weight
-    cswk_w = weighting.coursework_weight
-    if exam_w == 0:
+    if cswk_weight == 100:
         return None, mark
-    if cswk_w == 0:
+    if cswk_weight == 0:
         return mark, None
-    we = exam_w / 100.0
-    wc = cswk_w / 100.0
+    we = (100 - cswk_weight) / 100.0
+    wc = cswk_weight / 100.0
     low = max(-mark / wc, (mark - 100.0) / we, -_MAX_COMPONENT_SPREAD)
     high = min((100.0 - mark) / wc, mark / we, _MAX_COMPONENT_SPREAD)
     spread = low + (high - low) * spread_uniform if low < high else 0.0
@@ -193,7 +191,6 @@ def generate_cohort(spec: CohortSpec) -> list[StudentModuleOutcome]:
     for dept_index, dept in enumerate(spec.departments):
         width = max(5, len(str(max(dept.student_count - 1, 0))))
         classes = dept.cw_weight_classes
-        weightings = [AssessmentWeighting(100 - weight, weight) for weight in classes]
         modules = [
             (year, f"{dept.code}-Y{year}-M{module_index:02d}")
             for year in dept.years
@@ -206,8 +203,8 @@ def generate_cohort(spec: CohortSpec) -> list[StudentModuleOutcome]:
             for position, (year, module_code) in enumerate(modules):
                 offset = 2 + 4 * position
                 class_index = bounded(words[offset], len(classes))
-                weighting = weightings[class_index]
-                car = classes[class_index] / 100.0
+                cswk_weight = classes[class_index]
+                car = cswk_weight / 100.0
                 noise = spec.noise_sd * normal_deviate(words[offset + 1], words[offset + 2])
                 raw = (
                     ability
@@ -216,10 +213,10 @@ def generate_cohort(spec: CohortSpec) -> list[StudentModuleOutcome]:
                     + noise
                 )
                 mark = min(100.0, max(0.0, raw))
-                exam, cswk = _split_components(mark, weighting, uniform(words[offset + 3]))
+                exam, cswk = _split_components(mark, cswk_weight, uniform(words[offset + 3]))
                 records.append(
                     StudentModuleOutcome(
-                        student_id, dept.code, year, module_code, mark, exam, cswk, weighting
+                        student_id, dept.code, year, module_code, mark, exam, cswk, cswk_weight
                     )
                 )
     return records

@@ -16,7 +16,6 @@ import pytest
 from click.testing import CliRunner
 
 from markprep import (
-    AssessmentWeighting,
     ForestParams,
     ModelKind,
     Stream,
@@ -205,7 +204,6 @@ def _banded_cohorts(seed: int, students: int = 406) -> tuple[list[StudentModuleO
     band depends on ratio-driven inflation that earlier years cannot
     reveal.  Each student reads one stream: words 0-1 give the ability,
     and module m reads words 2+3m (its ratio) and 3+3m, 4+3m (its noise)."""
-    weightings = {cswk: AssessmentWeighting(100 - cswk, cswk) for menu in ((0,), *_MENUS) for cswk in menu}
     cohorts: tuple[list[StudentModuleOutcome], list[StudentModuleOutcome]] = ([], [])
     for i in range(students):
         menu = _MENUS[i % 3]
@@ -230,7 +228,7 @@ def _banded_cohorts(seed: int, students: int = 406) -> tuple[list[StudentModuleO
                             module_mark=mark,
                             exam_mark=mark if cswk < 100 else None,
                             cswk_mark=mark if cswk > 0 else None,
-                            weighting=weightings[cswk],
+                            cswk_weight=cswk,
                         )
                     )
     return cohorts

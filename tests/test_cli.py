@@ -62,6 +62,12 @@ def test_generate_from_spec_file(tmp_path: Path, cohort: Path) -> None:
     other = tmp_path / "copy.csv"
     run("generate", "--spec", str(spec_path), "--out", str(other))
     assert other.read_bytes() == cohort.read_bytes()
+    # --seed overrides the spec's seed, and the spec written records it
+    reseeded, direct = tmp_path / "reseeded.csv", tmp_path / "direct.csv"
+    run("generate", "--spec", str(spec_path), "--seed", "9", "--out", str(reseeded))
+    run("generate", "--seed", "9", "--students", "40", "--out", str(direct))
+    assert reseeded.read_bytes() == direct.read_bytes()
+    assert json.loads(reseeded.with_suffix(".spec.json").read_text())["seed"] == 9
 
 
 def test_validate_clean_cohort(cohort: Path) -> None:
@@ -280,7 +286,7 @@ def test_evaluate_from_fixture_rejects_csv() -> None:
 
 
 def test_evaluate_from_fixture_takes_no_input() -> None:
-    result = runner.invoke(main, ["evaluate", "nonexistent.csv", "--from-fixture", "--trees", "0"])
+    result = runner.invoke(main, ["evaluate", "nonexistent.csv", "--from-fixture"])
     assert result.exit_code == 2, result.output
     assert "takes no INPUT_CSV" in result.output
 
@@ -691,6 +697,28 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
     output = run("generate", "--seed", "-1", "--out", str(cohort.with_name("negative.csv")), expect=2)
     assert "Invalid value for '--seed': -1 is not in the range x>=0." in output
     assert not cohort.with_name("negative.csv").exists()
+    # the forest sizes are integers >= 1, and the error names the flag
+    for flag in ("--trees", "--min-leaf", "--max-features"):
+        output = run("evaluate", str(refined), flag, "0", expect=2)
+        assert f"Invalid value for '{flag}': 0 is not in the range x>=1." in output
+    # a spec fixes the student count, and nothing is written
+    spec, spec_out = cohort.with_suffix(".spec.json"), cohort.with_name("five.csv")
+    output = run("generate", "--spec", str(spec), "--students", "5", "--out", str(spec_out), expect=2)
+    assert "--students applies only to the built-in profile" in output
+    assert not spec_out.exists()
+    output = run("evaluate", expect=2)
+    assert "INPUT_CSV is required unless --from-fixture is given" in output
+    output = run("evaluate", str(refined), "--predictor-years", "a,b", expect=2)
+    assert "--predictor-years must be comma-separated integers, got 'a,b'" in output
+    output = run("evaluate", str(refined), "--predictor-years", ",", expect=2)
+    assert "--predictor-years must not be empty" in output
+    # a config file that is missing, not JSON, or not a JSON object
+    config = cohort.with_name("config.json")
+    for text, message in ((None, "cannot read config"), ("{", "is not valid JSON"), ("[]", "must hold a JSON object")):
+        if text is not None:
+            config.write_text(text)
+        output = run("evaluate", str(refined), "--config", str(config), expect=2)
+        assert message in output
 
 
 @pytest.mark.parametrize(
@@ -723,6 +751,9 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
         ("evaluate", {"seed": -1}),
         ("evaluate", {"target_year": -2}),
         ("evaluate", {"predictor_years": "-1,2"}),
+        ("evaluate", {"trees": 0}),
+        ("evaluate", {"min_leaf": 0}),
+        ("evaluate", {"max_features": 0}),
     ],
 )
 def test_bad_config_value_is_usage_error(
@@ -737,10 +768,12 @@ def test_bad_config_value_is_usage_error(
         assert key in result.output
         # the message names the config key, never a flag the user did not give
         assert "--" + key.replace("_", "-") not in result.output
-    if "max_features" in config:
+    if config == {"max_features": 4}:
         assert "config key max_features 4 exceeds the feature count 3" in result.output
     if config in ({"seed": -1}, {"target_year": -2}):
         assert f"{next(iter(config.values()))} is not in the range x>=0." in result.output
+    if config in ({"trees": 0}, {"min_leaf": 0}, {"max_features": 0}):
+        assert "0 is not in the range x>=1." in result.output
 
 
 def test_evaluate_config_banding_scheme(refined: Path, tmp_path: Path) -> None:

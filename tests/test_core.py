@@ -1,4 +1,4 @@
-"""Domain types: weightings, ratios, banding."""
+"""Domain types: records, ratios, banding."""
 from __future__ import annotations
 
 import pickle
@@ -7,7 +7,6 @@ import pytest
 
 from markprep import (
     DEFAULT_BANDING,
-    AssessmentWeighting,
     BandingScheme,
     DegreeBand,
     StudentModuleOutcome,
@@ -16,7 +15,6 @@ from markprep import (
 
 def make_outcome(
     mark: float = 60.0,
-    exam_weight: int = 50,
     cswk_weight: int = 50,
     exam_mark: float | None = 58.0,
     cswk_mark: float | None = 62.0,
@@ -33,7 +31,7 @@ def make_outcome(
         module_mark=mark,
         exam_mark=exam_mark,
         cswk_mark=cswk_mark,
-        weighting=AssessmentWeighting(exam_weight, cswk_weight),
+        cswk_weight=cswk_weight,
     )
 
 
@@ -58,15 +56,12 @@ def test_band_labels_round_trip() -> None:
         DegreeBand.from_label("Ordinary")
 
 
-def test_weighting_must_sum_to_hundred() -> None:
-    AssessmentWeighting(0, 100)
-    AssessmentWeighting(100, 0)
-    with pytest.raises(ValueError):
-        AssessmentWeighting(60, 60)
-    with pytest.raises(ValueError):
-        AssessmentWeighting(-10, 110)
-    with pytest.raises(ValueError):
-        AssessmentWeighting(True, 99)  # type: ignore[arg-type]
+def test_cswk_weight_is_an_integer_percentage() -> None:
+    assert make_outcome(cswk_weight=0, cswk_mark=None).cswk_weight == 0
+    assert make_outcome(cswk_weight=100, exam_mark=None).cswk_weight == 100
+    for weight in (True, 50.0, -10, 110):
+        with pytest.raises(ValueError, match="cswk_weight must be an integer in \\[0, 100\\]"):
+            make_outcome(cswk_weight=weight)  # type: ignore[arg-type]
 
 
 def test_outcome_allows_missing_weighted_component_mark() -> None:
@@ -79,11 +74,11 @@ def test_outcome_allows_missing_weighted_component_mark() -> None:
 
 def test_outcome_forbids_mark_on_zero_weight_component() -> None:
     # a recorded mark for an unweighted component cannot be a real measurement
-    make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None, cswk_mark=61.0)
+    make_outcome(cswk_weight=100, exam_mark=None, cswk_mark=61.0)
     with pytest.raises(ValueError):
-        make_outcome(exam_weight=0, cswk_weight=100, exam_mark=55.0, cswk_mark=61.0)
+        make_outcome(cswk_weight=100, exam_mark=55.0, cswk_mark=61.0)
     with pytest.raises(ValueError):
-        make_outcome(exam_weight=100, cswk_weight=0, exam_mark=55.0, cswk_mark=61.0)
+        make_outcome(cswk_weight=0, exam_mark=55.0, cswk_mark=61.0)
 
 
 def test_outcome_range_checks() -> None:
@@ -103,21 +98,20 @@ def test_outcome_range_checks() -> None:
 
 
 def test_outcome_is_a_checked_named_tuple() -> None:
-    weighting = AssessmentWeighting(50, 50)
-    positional = StudentModuleOutcome("S1", "CS", 1, "M1", 60.0, 58.0, 62.0, weighting)
+    positional = StudentModuleOutcome("S1", "CS", 1, "M1", 60.0, 58.0, 62.0, 50)
     keyword = make_outcome()
     assert positional == keyword
     assert hash(positional) == hash(keyword)
     assert repr(positional) == repr(keyword) == (
         "StudentModuleOutcome(student_id='S1', department='CS', year_level=1, module_code='M1', "
         "module_mark=60.0, exam_mark=58.0, cswk_mark=62.0, "
-        "weighting=AssessmentWeighting(exam_weight=50, coursework_weight=50))"
+        "cswk_weight=50)"
     )
     assert StudentModuleOutcome._fields == (
         "student_id", "department", "year_level", "module_code",
-        "module_mark", "exam_mark", "cswk_mark", "weighting",
+        "module_mark", "exam_mark", "cswk_mark", "cswk_weight",
     )
-    assert tuple(positional) == ("S1", "CS", 1, "M1", 60.0, 58.0, 62.0, weighting)
+    assert tuple(positional) == ("S1", "CS", 1, "M1", 60.0, 58.0, 62.0, 50)
     with pytest.raises(AttributeError):
         positional.module_mark = 70.0  # type: ignore[misc]
     with pytest.raises(AttributeError):
@@ -128,9 +122,13 @@ def test_outcome_is_a_checked_named_tuple() -> None:
     with pytest.raises(ValueError, match="module_mark must lie in"):
         positional._replace(module_mark=101)
     with pytest.raises(ValueError, match="cswk_mark must be absent"):
-        positional._replace(weighting=AssessmentWeighting(100, 0))
+        positional._replace(cswk_weight=0)
+    with pytest.raises(ValueError, match="exam_mark must be absent"):
+        positional._replace(cswk_weight=100)
+    with pytest.raises(ValueError, match="cswk_weight must be an integer"):
+        positional._replace(cswk_weight=101)
     with pytest.raises(ValueError, match="department must be non-empty"):
-        StudentModuleOutcome._make(["S1", "", 1, "M1", 60.0, 58.0, 62.0, weighting])
+        StudentModuleOutcome._make(["S1", "", 1, "M1", 60.0, 58.0, 62.0, 50])
     with pytest.raises(ValueError, match="year_level must be an integer"):
         make_outcome(year_level=True)  # type: ignore[arg-type]
     assert pickle.loads(pickle.dumps(positional)) == positional
@@ -138,15 +136,15 @@ def test_outcome_is_a_checked_named_tuple() -> None:
 
 def test_compute_car_is_coursework_share() -> None:
     # the ratio is the coursework weight over 100, exact at both ends
-    assert make_outcome(exam_weight=70, cswk_weight=30).car == pytest.approx(0.3)
-    assert make_outcome(exam_weight=100, cswk_weight=0, cswk_mark=None).car == 0.0
-    assert make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None).car == 1.0
+    assert make_outcome(cswk_weight=30).car == pytest.approx(0.3)
+    assert make_outcome(cswk_weight=0, cswk_mark=None).car == 0.0
+    assert make_outcome(cswk_weight=100, exam_mark=None).car == 1.0
 
 
 def test_outcome_car_property() -> None:
-    # the coursework share of the weighting, as a plain float
-    assert type(make_outcome(exam_weight=70, cswk_weight=30).car) is float
-    assert make_outcome(exam_weight=30, cswk_weight=70).car == pytest.approx(0.7)
+    # the coursework weight as a share, a plain float
+    assert type(make_outcome(cswk_weight=30).car) is float
+    assert make_outcome(cswk_weight=70).car == pytest.approx(0.7)
 
 
 def test_default_banding_boundaries() -> None:

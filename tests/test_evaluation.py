@@ -60,7 +60,6 @@ def transcript_rows(
                 records.append(
                     make_outcome(
                         mark=mark,
-                        exam_weight=100 - cswk,
                         cswk_weight=cswk,
                         exam_mark=mark if cswk < 100 else None,
                         cswk_mark=mark if cswk > 0 else None,
@@ -169,7 +168,7 @@ def oracle_feature_table(
         features = [
             year_average(outcomes, year, marks) for year in predictor_years
         ]
-        cars = [outcome.weighting.coursework_weight / 100 for outcome in outcomes]
+        cars = [outcome.cswk_weight / 100 for outcome in outcomes]
         features.append(added_in_order(cars) / len(cars))
         target_average = year_average(outcomes, target_year, marks)
         label = scheme.classify(min(100.0, max(0.0, target_average)))
@@ -561,7 +560,7 @@ def test_compare_requires_ratio_column() -> None:
 
 
 def test_masking_a_constant_ratio_column_changes_nothing() -> None:
-    # one shared weighting means the ratio column is constant, so masking
+    # one coursework weight for every module means the ratio column is constant, so masking
     # it must leave training untouched, bit for bit
     table = build_feature_table(transcript_rows(n_students=40, cswk_cycle=(30,)))
     result = compare_with_without_car(

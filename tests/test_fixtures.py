@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from markprep import DegreeBand, reference_model, refine_mark, two_sample_t
+from markprep import DegreeBand, TTestVariant, reference_model, refine_mark, two_sample_t
 from markprep.fixtures import (
     CONFUSION_WITH_CAR,
     CONFUSION_WITHOUT_CAR,
@@ -14,6 +14,7 @@ from markprep.fixtures import (
     REFERENCE_ERROR_RATE_WITH_CAR,
     REFERENCE_ERROR_RATE_WITHOUT_CAR,
     REFERENCE_GROUP_MEANS,
+    REFERENCE_P_EXAM_VS_COURSEWORK,
     REFERENCE_R_SQUARED_LINEAR,
     REFERENCE_R_SQUARED_QUADRATIC,
     REFERENCE_T_EXAM_VS_COURSEWORK,
@@ -41,7 +42,10 @@ def test_headline_t_value_reproducible_from_group_means() -> None:
     result = two_sample_t(exam, coursework)
     assert result.t_statistic == pytest.approx(REFERENCE_T_EXAM_VS_COURSEWORK, abs=0.01)
     assert result.degrees_of_freedom == 10
-    assert result.p_value_two_sided < 0.001
+    # the stated p = 0.001 is a bound that both variants meet (pooled
+    # 0.00049, Welch 0.00069)
+    assert result.p_value_two_sided < REFERENCE_P_EXAM_VS_COURSEWORK
+    assert two_sample_t(exam, coursework, TTestVariant.WELCH).p_value_two_sided < REFERENCE_P_EXAM_VS_COURSEWORK
 
 
 def test_reference_comparison_directions() -> None:

@@ -15,7 +15,6 @@ from markprep import (
     RECOMBINATION_TOLERANCE,
     REFINED_MARK_COLUMN,
     TRANSCRIPT_COLUMNS,
-    AssessmentWeighting,
     CohortSpec,
     DepartmentProfile,
     IssueCategory,
@@ -31,7 +30,7 @@ from markprep import (
     parse_transcript_csv,
     write_transcript_csv,
 )
-from markprep.ingest import _MARK_GRAMMAR, _WEIGHTINGS, _reject
+from markprep.ingest import _MARK_GRAMMAR, _reject
 from test_core import make_outcome
 
 HEADER = ",".join(TRANSCRIPT_COLUMNS)
@@ -46,7 +45,7 @@ def test_round_trip_preserves_floats_exactly(tmp_path: Path) -> None:
         make_outcome(mark=59.87654321098765, module_code="A"),
         make_outcome(mark=0.1 + 0.2, module_code="B"),
         make_outcome(
-            mark=61.0, exam_weight=0, cswk_weight=100, exam_mark=None,
+            mark=61.0, cswk_weight=100, exam_mark=None,
             cswk_mark=61.0, module_code="C",
         ),
     ]
@@ -62,7 +61,7 @@ def test_round_trip_preserves_floats_exactly(tmp_path: Path) -> None:
 def test_written_csv_uses_lf_and_blank_for_missing(tmp_path: Path) -> None:
     path = tmp_path / "out.csv"
     write_transcript_csv(
-        [make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None, cswk_mark=61.0, mark=61.0)],
+        [make_outcome(cswk_weight=100, exam_mark=None, cswk_mark=61.0, mark=61.0)],
         path,
     )
     raw = path.read_bytes()
@@ -423,7 +422,7 @@ def reference_transcript_csv(records: Sequence[StudentModuleOutcome], refined_ma
         rows.append([
             record.student_id, record.department, str(record.year_level), record.module_code,
             mark(record.module_mark), mark(record.exam_mark), mark(record.cswk_mark),
-            str(record.weighting.exam_weight), str(record.weighting.coursework_weight),
+            str(100 - record.cswk_weight), str(record.cswk_weight),
         ] + ([mark(refined_marks[i])] if refined_marks is not None else []))
     lines = []
     for row in rows:
@@ -452,11 +451,10 @@ def test_writer_matches_csv_writer(tmp_path: Path, refined: bool) -> None:
 
     records = []
     for _ in range(2000):
-        exam_weight = rng.choice((0, 30, 50, 100))
+        cswk_weight = rng.choice((100, 70, 50, 0))
         records.append(StudentModuleOutcome(
             text(), text(), rng.randint(0, 12), text(), rng.choice(WRITER_MARKS),
-            optional_mark(exam_weight), optional_mark(100 - exam_weight),
-            AssessmentWeighting(exam_weight, 100 - exam_weight),
+            optional_mark(100 - cswk_weight), optional_mark(cswk_weight), cswk_weight,
         ))
     refined_marks = [rng.choice(WRITER_REFINED_MARKS) for _ in records] if refined else None
     expected = reference_transcript_csv(records, refined_marks)
@@ -478,12 +476,13 @@ def test_writer_matches_csv_writer(tmp_path: Path, refined: bool) -> None:
 
 
 # Field values the constructor takes and values it refuses: each text the
-# writer must quote, an empty text, years and marks at and past their
-# bounds, bools, an int mark, a negative zero and the smallest subnormal.
+# writer must quote, an empty text, years, marks and weights at and past
+# their bounds, bools, an int mark, a float weight, a negative zero and the
+# smallest subnormal.
 ROUND_TRIP_TEXTS = ("S1", "a,b", 'q"', "\r", "\n", " ", "\u4e2d", "")
 ROUND_TRIP_YEARS = (0, 3, 10**20, -1, True)
 ROUND_TRIP_MARKS = (0.0, -0.0, 100.0, 61, 5e-324, 59.87654321098765, 0.1 + 0.2, 100.5, -1e-9, True, False, math.nan)
-ROUND_TRIP_SPLITS = ((0, 100), (30, 70), (50, 50), (100, 0))
+ROUND_TRIP_WEIGHTS = (100, 70, 50, 0, 101, -1, True, 50.0)
 
 
 def test_every_record_the_constructor_takes_survives_a_write_and_parse(tmp_path: Path) -> None:
@@ -494,7 +493,7 @@ def test_every_record_the_constructor_takes_survives_a_write_and_parse(tmp_path:
             rng.choice(ROUND_TRIP_TEXTS), rng.choice(ROUND_TRIP_TEXTS), rng.choice(ROUND_TRIP_YEARS),
             rng.choice(ROUND_TRIP_TEXTS), rng.choice(ROUND_TRIP_MARKS),
             rng.choice(ROUND_TRIP_MARKS + (None,)), rng.choice(ROUND_TRIP_MARKS + (None,)),
-            AssessmentWeighting(*rng.choice(ROUND_TRIP_SPLITS)),
+            rng.choice(ROUND_TRIP_WEIGHTS),
         )
         try:
             accepted.append(StudentModuleOutcome(*fields))
@@ -502,6 +501,7 @@ def test_every_record_the_constructor_takes_survives_a_write_and_parse(tmp_path:
             refused.add(str(exc).split()[0])
     assert refused == {
         "student_id", "department", "year_level", "module_code", "module_mark", "exam_mark", "cswk_mark",
+        "cswk_weight",
     }
     assert len(accepted) > 500
     path = tmp_path / "out.csv"
@@ -581,7 +581,7 @@ def grid_outcome(refined: bool) -> dict:
             [
                 r.student_id, r.department, r.year_level, r.module_code,
                 r.module_mark, r.exam_mark, r.cswk_mark,
-                r.weighting.exam_weight, r.weighting.coursework_weight,
+                100 - r.cswk_weight, r.cswk_weight,
             ]
             for r in records
         ],
@@ -603,7 +603,7 @@ def test_error_grid_matches_recorded_behaviour(schema: str) -> None:
 
 # The row checks as an explain pass once wrote them, kept verbatim as a
 # reference for the parse's single pass: every check, message and issue
-# order of a rejected row, and the shared weighting of an accepted one.
+# order of a rejected row.
 def _parse_mark(text: str, low: float = 0.0, high: float = 100.0) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -628,19 +628,6 @@ def _refined_mark_issue(row_number: int, text: str, issues: list[ValidationIssue
         _parse_mark(text, -math.inf, math.inf)
     except ValueError as exc:
         _reject(issues, row_number, REFINED_MARK_COLUMN, str(exc))
-
-
-def _split_weighting(exam_text: str, cswk_text: str) -> AssessmentWeighting | None:
-    """The weighting two weight cells name, or None when they are not two
-    counts summing to 100."""
-    exam_weight = _parse_count(exam_text)
-    cswk_weight = _parse_count(cswk_text)
-    if exam_weight is None or cswk_weight is None or exam_weight + cswk_weight != 100:
-        return None
-    weighting = _WEIGHTINGS.get((exam_weight, cswk_weight))
-    if weighting is None:
-        weighting = _WEIGHTINGS[exam_weight, cswk_weight] = AssessmentWeighting(exam_weight, cswk_weight)
-    return weighting
 
 
 def _row_issues(row_number: int, row: Sequence[str], issues: list[ValidationIssue]) -> None:
@@ -711,7 +698,7 @@ FUZZ_VALUES = GRID_VALUES + ("\u0663", "1e999", "-0", "050", "5.", ".5")
 def test_parse_matches_reference_row_checks(refined: bool) -> None:
     # A row is rejected with exactly the issues the reference checks write,
     # and a row they find no fault in becomes the record the public
-    # constructor builds, on the weighting its split shares.
+    # constructor builds.
     rng = random.Random(14)
     extra = (GRID_REFINED_MARK,) if refined else ()
     # a mixed row, and an exam-only and a coursework-only one whose blank
@@ -750,10 +737,9 @@ def test_parse_matches_reference_row_checks(refined: bool) -> None:
         fields = (
             cells[0], cells[1], int(cells[2]), cells[3], float(cells[4]),
             float(cells[5]) if cells[5] else None, float(cells[6]) if cells[6] else None,
-            AssessmentWeighting(int(cells[7]), int(cells[8])),
+            int(cells[8]),
         )
         assert record == StudentModuleOutcome(*fields)
-        assert record.weighting is _split_weighting(cells[7], cells[8])
         if refined:
             assert mark == float(row[-1])
     assert next(accepted, None) is None

@@ -211,7 +211,6 @@ def selected_model(ratios: list[float], marks: list[float]) -> RefinementModel:
     records = [
         make_outcome(
             mark=mark,
-            exam_weight=100 - round(car * 100),
             cswk_weight=round(car * 100),
             exam_mark=None,
             cswk_mark=None,
@@ -294,10 +293,10 @@ def test_model_json_round_trip() -> None:
 def test_pipeline_ratio_classes() -> None:
     # CS weights arrive unsorted (70 before 0); EE shares only the 0
     records = [
-        make_outcome(exam_weight=30, cswk_weight=70, module_code="B"),
-        make_outcome(exam_weight=100, cswk_weight=0, exam_mark=60.0, cswk_mark=None, module_code="A"),
-        make_outcome(exam_weight=30, cswk_weight=70, module_code="C"),
-        make_outcome(exam_weight=100, cswk_weight=0, exam_mark=55.0, cswk_mark=None,
+        make_outcome(cswk_weight=70, module_code="B"),
+        make_outcome(cswk_weight=0, exam_mark=60.0, cswk_mark=None, module_code="A"),
+        make_outcome(cswk_weight=70, module_code="C"),
+        make_outcome(cswk_weight=0, exam_mark=55.0, cswk_mark=None,
                      module_code="D", department="EE"),
     ]
     for mode in ({}, {"per_department": True}, {"model": reference_model()}):
@@ -308,8 +307,8 @@ def test_pipeline_ratio_classes() -> None:
         assert list(ee_first.ratio_classes) == ["EE", "CS"]
     # a set of {100, 30} iterates 100 first
     unsorted = [
-        make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None, cswk_mark=60.0, module_code="E"),
-        make_outcome(exam_weight=70, cswk_weight=30, module_code="F"),
+        make_outcome(cswk_weight=100, exam_mark=None, cswk_mark=60.0, module_code="E"),
+        make_outcome(cswk_weight=30, module_code="F"),
     ]
     assert run_refinement_pipeline(unsorted).ratio_classes == {"CS": (30, 100)}
     with pytest.raises(ValueError, match="^cannot refine zero records$"):
@@ -328,7 +327,6 @@ def planted_cohort(rng: np.random.Generator, n: int = 400) -> list:
         records.append(
             make_outcome(
                 mark=mark,
-                exam_weight=100 - cswk,
                 cswk_weight=cswk,
                 exam_mark=mark if cswk < 100 else None,
                 cswk_mark=mark if cswk > 0 else None,
@@ -363,10 +361,9 @@ def test_pipeline_self_neutralizes() -> None:
     again = [
         make_outcome(
             mark=float(np.clip(mark, 0, 100)),
-            exam_weight=record.weighting.exam_weight,
-            cswk_weight=record.weighting.coursework_weight,
-            exam_mark=None if record.weighting.exam_weight == 0 else 50.0,
-            cswk_mark=None if record.weighting.coursework_weight == 0 else 50.0,
+            cswk_weight=record.cswk_weight,
+            exam_mark=None if record.cswk_weight == 100 else 50.0,
+            cswk_mark=None if record.cswk_weight == 0 else 50.0,
             student_id=record.student_id,
             module_code=record.module_code,
         )
@@ -402,8 +399,7 @@ def test_pipeline_per_department() -> None:
     ee = [
         make_outcome(
             mark=record.module_mark,
-            exam_weight=record.weighting.exam_weight,
-            cswk_weight=record.weighting.coursework_weight,
+            cswk_weight=record.cswk_weight,
             exam_mark=record.exam_mark,
             cswk_mark=record.cswk_mark,
             student_id=f"E{i}",
@@ -428,7 +424,6 @@ def test_pipeline_two_ratio_fallback_is_linear() -> None:
     records = [
         make_outcome(
             mark=50.0 + (i % 2) * 8,
-            exam_weight=100 - 40 * (i % 2),
             cswk_weight=40 * (i % 2),
             exam_mark=None,
             cswk_mark=None,
@@ -459,7 +454,7 @@ def test_pipeline_single_ratio_fallback_is_identity() -> None:
 def test_pipeline_clamp_flag() -> None:
     records = [
         make_outcome(
-            mark=float(m), exam_weight=w, cswk_weight=100 - w,
+            mark=float(m), cswk_weight=100 - w,
             exam_mark=None, cswk_mark=None, module_code=f"M{m}-{w}",
         )
         for m, w in [(1, 0), (1, 50), (90, 0), (90, 50), (50, 25), (2, 75)]

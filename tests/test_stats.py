@@ -14,7 +14,6 @@ import scipy.stats
 
 from markprep import (
     AssessmentMethodClass,
-    AssessmentWeighting,
     DegenerateSampleError,
     TTestVariant,
     classify_method,
@@ -31,18 +30,18 @@ def test_classify_method_by_ratio() -> None:
     assert classify_method(1.0) is AssessmentMethodClass.COURSEWORK_BASED
     assert classify_method(0.5) is AssessmentMethodClass.MIXED
     assert classify_method(0.01) is AssessmentMethodClass.MIXED
-    exam_only = make_outcome(exam_weight=100, cswk_weight=0, cswk_mark=None)
-    coursework_only = make_outcome(exam_weight=0, cswk_weight=100, exam_mark=None)
+    exam_only = make_outcome(cswk_weight=0, cswk_mark=None)
+    coursework_only = make_outcome(cswk_weight=100, exam_mark=None)
     assert classify_method(exam_only.car) is AssessmentMethodClass.EXAM_BASED
     assert classify_method(coursework_only.car) is AssessmentMethodClass.COURSEWORK_BASED
-    assert classify_method(make_outcome(exam_weight=45, cswk_weight=55).car) is AssessmentMethodClass.MIXED
+    assert classify_method(make_outcome(cswk_weight=55).car) is AssessmentMethodClass.MIXED
 
 
 def test_group_mean_table() -> None:
     records = [
-        make_outcome(mark=50.0, exam_weight=100, cswk_weight=0, exam_mark=50.0, cswk_mark=None, module_code="A"),
-        make_outcome(mark=70.0, exam_weight=100, cswk_weight=0, exam_mark=70.0, cswk_mark=None, module_code="B"),
-        make_outcome(mark=66.0, exam_weight=0, cswk_weight=100, exam_mark=None, cswk_mark=66.0, module_code="C"),
+        make_outcome(mark=50.0, cswk_weight=0, exam_mark=50.0, cswk_mark=None, module_code="A"),
+        make_outcome(mark=70.0, cswk_weight=0, exam_mark=70.0, cswk_mark=None, module_code="B"),
+        make_outcome(mark=66.0, cswk_weight=100, exam_mark=None, cswk_mark=66.0, module_code="C"),
         make_outcome(mark=80.0, module_code="D"),
     ]
     table = group_mean_table(records)

@@ -63,13 +63,13 @@ def test_records_satisfy_domain_invariants() -> None:
     for seed in (1, 2, 3):
         for record in generate_cohort(small_spec(seed=seed, students=20)):
             assert 0.0 <= record.module_mark <= 100.0
-            weighting = record.weighting
-            assert (record.exam_mark is None) == (weighting.exam_weight == 0)
-            assert (record.cswk_mark is None) == (weighting.coursework_weight == 0)
+            cswk_weight = record.cswk_weight
+            assert (record.exam_mark is None) == (cswk_weight == 100)
+            assert (record.cswk_mark is None) == (cswk_weight == 0)
             if record.exam_mark is not None and record.cswk_mark is not None:
                 combined = (
-                    weighting.exam_weight * record.exam_mark
-                    + weighting.coursework_weight * record.cswk_mark
+                    (100 - cswk_weight) * record.exam_mark
+                    + cswk_weight * record.cswk_mark
                 ) / 100.0
                 assert combined == pytest.approx(record.module_mark, abs=1e-9)
                 # the planted exam/coursework gap stays within its cap
@@ -111,7 +111,7 @@ def test_departments_are_positionally_streamed() -> None:
 
 def test_weight_classes_all_appear() -> None:
     records = generate_cohort(small_spec(students=40))
-    seen = {r.weighting.coursework_weight for r in records}
+    seen = {r.cswk_weight for r in records}
     assert seen == {0, 30, 70, 100}
 
 
@@ -124,7 +124,7 @@ def test_planted_effect_shifts_group_means() -> None:
     )
 
     def mean_at(records, weight: int) -> float:
-        marks = [r.module_mark for r in records if r.weighting.coursework_weight == weight]
+        marks = [r.module_mark for r in records if r.cswk_weight == weight]
         return sum(marks) / len(marks)
 
     # identical streams, so the only difference is the ratio effect itself
@@ -184,6 +184,6 @@ def test_cohort_spec_validation() -> None:
 def test_zero_noise_marks_follow_the_curve_exactly() -> None:
     spec = small_spec(students=10, noise_sd=0.0, ability_sd=0.0, ability_mean=50.0)
     for record in generate_cohort(spec):
-        car = record.weighting.coursework_weight / 100.0
+        car = record.cswk_weight / 100.0
         expected = 50.0 + 12.77 * car - 5.873 * car * car
         assert record.module_mark == pytest.approx(expected, abs=1e-12)
