@@ -331,7 +331,7 @@ def main() -> None:
 @click.option("--out", type=click.Path(), default="cohort.csv", help="Cohort CSV path.  [default: cohort.csv]")
 @click.option("--spec", type=click.Path(), default=None, help="Cohort spec JSON to generate from (defaults to a built-in single-department profile).")
 @click.option("--spec-out", type=click.Path(), default=None, help="Where to record the spec actually used.  [default: <out> with .spec.json]")
-@click.option("--students", type=int, default=None, help="Student count for the built-in profile.  [default: 406]")
+@click.option("--students", type=click.IntRange(min=1), default=None, help="Student count for the built-in profile.  [default: 406]")
 @_seed_option(None)
 @_config_option
 def generate(

@@ -95,6 +95,11 @@ _BAND_LABELS = {
 }
 
 
+# The coursework ratio of each coursework weight, worked out once: a record's
+# ratio is ``COURSEWORK_RATIOS[record.cswk_weight]``.
+COURSEWORK_RATIOS: tuple[float, ...] = tuple(weight / 100 for weight in range(101))
+
+
 class _OutcomeFields(NamedTuple):
     student_id: str
     department: str
@@ -179,7 +184,11 @@ class StudentModuleOutcome(_OutcomeFields):
 
     @property
     def car(self) -> float:
-        """The coursework assessment ratio (CAR), coursework weight / 100; defined only here."""
+        """The coursework assessment ratio (CAR), coursework weight / 100.
+
+        No record loop of the package reads it: they look a weight's ratio
+        up in ``COURSEWORK_RATIOS``.  It stays as the reader for library
+        callers."""
         return self.cswk_weight / 100
 
 

@@ -6,10 +6,14 @@ The headline error rate follows the source convention: error rate is
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
+    COURSEWORK_RATIOS,
     DEFAULT_BANDING,
     DEFAULT_TEST_FRACTION,
     PUBLISHED_CLASS_ORDER,
@@ -44,6 +48,11 @@ class UndefinedAucError(ValueError):
     """Raised when AUC is requested for single-class labels."""
 
 
+def _running_mean(values: Sequence[float]) -> float:
+    """The mean of ``values`` added left to right from an int 0."""
+    return reduce(add, values, 0) / len(values)
+
+
 def build_feature_table(
     records: Sequence[StudentModuleOutcome],
     refined_marks: Sequence[float] | None = None,
@@ -60,32 +69,35 @@ def build_feature_table(
     predictor or target year are left out; rows must be complete.
     Averages are clamped to the mark scale before banding, since
     unclamped refinement can step slightly outside it.
+
+    The marks are grouped per (student, year) and the coursework weights
+    per student, each list in record order, and each average adds its
+    list left to right from an int 0: the same additions in the same
+    order as a running ``total + value`` over the records, so the grouping
+    moves no bit.  Not ``sum()``, which compensates float rounding from
+    Python 3.12, nor ``math.fsum``, which rounds once.  Students keep the
+    order of their first record.
     """
     if refined_marks is not None and len(refined_marks) != len(records):
         raise ValueError(
             f"refined marks length {len(refined_marks)} does not match "
             f"record count {len(records)}"
         )
-    marks = refined_marks if refined_marks is not None else [r.module_mark for r in records]
-    # per student, in record order: (total, count) of the marks of each year
-    # and, under key None, of the module ratios.  Totals add left to right
-    # from 0, not through sum(), which compensates float rounding from
-    # Python 3.12.  Students keep the order of their first record.
-    by_student: dict[str, dict[int | None, tuple[float, int]]] = {}
-    for record, mark in zip(records, marks):
-        totals = by_student.setdefault(record.student_id, {})
-        for key, value in ((record.year_level, mark), (None, record.car)):
-            total, count = totals.get(key, (0, 0))
-            totals[key] = (total + value, count + 1)
+    marks = refined_marks if refined_marks is not None else [record[4] for record in records]
+    year_marks: defaultdict[tuple[str, int], list[float]] = defaultdict(list)
+    student_weights: defaultdict[str, list[int]] = defaultdict(list)
+    for (student_id, _, year_level, _, _, _, _, weight), mark in zip(records, marks):
+        year_marks[student_id, year_level].append(mark)
+        student_weights[student_id].append(weight)
 
     needed_years = [*predictor_years, target_year]
     rows: list[FeatureRow] = []
-    for student_id, totals in by_student.items():
-        if not all(year in totals for year in needed_years):
+    for student_id, weights in student_weights.items():
+        if not all((student_id, year) in year_marks for year in needed_years):
             continue
-        averages = {key: total / count for key, (total, count) in totals.items()}
-        features = (*[averages[year] for year in predictor_years], averages[None])
-        label = scheme.classify(min(100.0, max(0.0, averages[target_year])))
+        averages = [_running_mean(year_marks[student_id, year]) for year in needed_years]
+        features = (*averages[:-1], _running_mean([COURSEWORK_RATIOS[weight] for weight in weights]))
+        label = scheme.classify(min(100.0, max(0.0, averages[-1])))
         rows.append(FeatureRow(student_id, features, label))
 
     columns = (*[f"year{year}_avg" for year in predictor_years], CAR_COLUMN)

@@ -25,8 +25,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .core import StudentModuleOutcome
 
@@ -136,6 +137,35 @@ def _read_text(source: str | Path | IO) -> str:
     return text.removeprefix("\ufeff")
 
 
+def _split_lines(text: str) -> list[str] | None:
+    """The lines of ``text`` when splitting each at commas reads it exactly
+    as ``csv.reader`` does, else None.
+
+    With no quote there is no quoting to undo, and with no CR and no NUL
+    the reader ends a row only at LF and raises no error for a character;
+    an empty line, which the reader yields as ``[]`` rather than ``[""]``,
+    and a line longer than the field limit, which it may refuse, are left
+    to it too.  The final empty string of a text that ends in LF is no
+    line.
+    """
+    if '"' in text or "\r" in text or "\0" in text or "\n\n" in text or text.startswith("\n"):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if lines and max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _rows(text: str) -> Iterator[list[str]]:
+    """The rows of CSV text, as ``csv.reader`` reads them."""
+    lines = _split_lines(text)
+    if lines is None:
+        return csv.reader(io.StringIO(text, newline=""))
+    return map(str.split, lines, repeat(","))
+
+
 # A mark as repr(float) or a fixed-point export writes it; float() alone
 # also takes "+5", " 5", "5_0" and non-ASCII digits.
 _MARK_GRAMMAR = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
@@ -188,7 +218,7 @@ def _parse_transcript(
     row pass has made every one of them already.  This is the one place a
     record is built unchecked.
     """
-    reader = csv.reader(io.StringIO(_read_text(source), newline=""))
+    reader = _rows(_read_text(source))
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -375,27 +405,30 @@ def apply_missing_policy(
     ``row_numbers[i]`` for record ``i`` when given, else its position.
     """
     records = list(records)
-    kept: list[StudentModuleOutcome] = []
+    rows = _row_numbers(records, row_numbers)
+    flagged = [
+        index
+        for index, (_, _, _, _, _, exam_mark, cswk_mark, cswk_weight) in enumerate(records)
+        if (exam_mark is None and cswk_weight < 100) or (cswk_mark is None and cswk_weight > 0)
+    ]
+    severity = Severity.REJECT if policy is MissingPolicy.DROP_RECORD else Severity.WARN
     issues: list[ValidationIssue] = []
-    for row_number, record in zip(_row_numbers(records, row_numbers), records):
-        missing = record.missing_component_fields
-        if not missing:
-            kept.append(record)
-            continue
-        severity = Severity.REJECT if policy is MissingPolicy.DROP_RECORD else Severity.WARN
-        for name in missing:
+    for index in flagged:
+        record = records[index]
+        for name in record.missing_component_fields:
+            weight = 100 - record.cswk_weight if name == "exam_mark" else record.cswk_weight
             issues.append(
                 ValidationIssue(
-                    row_number,
-                    name,
-                    IssueCategory.MISSING,
-                    f"no mark for a component weighted "
-                    f"{100 - record.cswk_weight if name == 'exam_mark' else record.cswk_weight}%",
-                    severity,
+                    rows[index], name, IssueCategory.MISSING, f"no mark for a component weighted {weight}%", severity
                 )
             )
-        if policy is MissingPolicy.FLAG_ONLY:
-            kept.append(record)
+    if policy is MissingPolicy.FLAG_ONLY:
+        kept = records
+    else:
+        # the runs of records between flagged ones, a slice at a time
+        kept = []
+        for start, stop in zip([-1, *flagged], [*flagged, len(records)]):
+            kept += records[start + 1 : stop]
     return kept, IngestReport(len(kept), len(records) - len(kept), tuple(issues))
 
 

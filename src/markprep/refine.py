@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import StudentModuleOutcome, read_count, read_fields, read_number, read_string
+from .core import COURSEWORK_RATIOS, StudentModuleOutcome, read_count, read_fields, read_number, read_string
 
 REFERENCE_LINEAR_COEFFICIENT = 12.77
 REFERENCE_QUADRATIC_COEFFICIENT = -5.873
@@ -340,11 +340,13 @@ def run_refinement_pipeline(
     weights: defaultdict[str, set[int]] = defaultdict(set)
     ratios: defaultdict[str | None, list[float]] = defaultdict(list)
     marks: defaultdict[str | None, list[float]] = defaultdict(list)
-    for record in records:
-        weights[record.department].add(record.cswk_weight)
-        scope = record.department if per_department else None
-        ratios[scope].append(record.car)
-        marks[scope].append(record.module_mark)
+    scope = None
+    for _, department, _, _, mark, _, _, weight in records:
+        weights[department].add(weight)
+        if per_department:
+            scope = department
+        ratios[scope].append(COURSEWORK_RATIOS[weight])
+        marks[scope].append(mark)
 
     models: dict[str | None, RefinementModel] = {}
     linear_candidate: RefinementModel | None = None
@@ -361,14 +363,21 @@ def run_refinement_pipeline(
         else:
             warnings.extend(f"{scope}: {w}" for w in fit_warnings)
 
-    # each scope's refined marks, handed back out in record order
-    refined = {
-        scope: iter([refine_mark(mark, car, models[scope], clamp=clamp) for car, mark in zip(ratios[scope], marks[scope])])
-        for scope in ratios
+    # A refined mark is refine_mark's mark - model.decrement(car), with the
+    # decrement worked out once per department and coursework weight.
+    decrements = {
+        department: {
+            weight: models[department if per_department else None].decrement(COURSEWORK_RATIOS[weight])
+            for weight in department_weights
+        }
+        for department, department_weights in weights.items()
     }
+    refined = [mark - decrements[department][weight] for _, department, _, _, mark, _, _, weight in records]
+    if clamp:
+        refined = [min(100.0, max(0.0, mark)) for mark in refined]
     return RefinementResult(
         records=records,
-        refined_marks=tuple(next(refined[r.department]) for r in records) if per_department else tuple(refined[None]),
+        refined_marks=tuple(refined),
         ratio_classes={department: tuple(sorted(w)) for department, w in weights.items()},
         model=None if per_department else models[None],
         department_models=models if per_department else None,

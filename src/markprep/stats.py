@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import StudentModuleOutcome
+from .core import COURSEWORK_RATIOS, StudentModuleOutcome
 
 
 class AssessmentMethodClass(Enum):
@@ -43,13 +44,21 @@ def group_mean_table(
     """Unweighted mean module mark per (department, assessment method).
 
     Cells with no records are absent from the inner mapping, never zero.
+
+    The marks are collected per (department, coursework weight) and each
+    weight is classified once; a method's cells are then joined, so its
+    marks are no longer in record order.  The mean does not move a bit for
+    that: ``statistics.fmean`` divides ``math.fsum``, which is correctly
+    rounded in any order, by the count.  Departments and, within each,
+    methods keep the order of their first record.
     """
+    cells: defaultdict[tuple[str, int], list[float]] = defaultdict(list)
+    for _, department, _, _, mark, _, _, weight in records:
+        cells[department, weight].append(mark)
+    methods = {weight: classify_method(COURSEWORK_RATIOS[weight]) for _, weight in cells}
     marks: dict[str, dict[AssessmentMethodClass, list[float]]] = {}
-    for record in records:
-        cell = marks.setdefault(record.department, {}).setdefault(
-            classify_method(record.car), []
-        )
-        cell.append(record.module_mark)
+    for (department, weight), cell in cells.items():
+        marks.setdefault(department, {}).setdefault(methods[weight], []).extend(cell)
     return {
         department: {
             method: GroupSummary(statistics.fmean(values), len(values))

@@ -701,6 +701,12 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
     for flag in ("--trees", "--min-leaf", "--max-features"):
         output = run("evaluate", str(refined), flag, "0", expect=2)
         assert f"Invalid value for '{flag}': 0 is not in the range x>=1." in output
+    # a cohort has at least one student, and the error names the flag
+    for value in ("0", "-3"):
+        few = cohort.with_name(f"students{value}.csv")
+        output = run("generate", "--students", value, "--out", str(few), expect=2)
+        assert f"Invalid value for '--students': {value} is not in the range x>=1." in output
+        assert not few.exists()
     # a spec fixes the student count, and nothing is written
     spec, spec_out = cohort.with_suffix(".spec.json"), cohort.with_name("five.csv")
     output = run("generate", "--spec", str(spec), "--students", "5", "--out", str(spec_out), expect=2)
@@ -754,6 +760,8 @@ def test_bad_flag_value_is_usage_error(cohort: Path, refined: Path) -> None:
         ("evaluate", {"trees": 0}),
         ("evaluate", {"min_leaf": 0}),
         ("evaluate", {"max_features": 0}),
+        ("generate", {"students": 0}),
+        ("generate", {"students": -3}),
     ],
 )
 def test_bad_config_value_is_usage_error(
@@ -762,7 +770,9 @@ def test_bad_config_value_is_usage_error(
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     source = refined if command == "evaluate" else cohort
-    result = runner.invoke(main, [command, str(source), "--config", str(path)])
+    # generate reads no transcript; it is given an output path instead
+    target = ["--out", str(tmp_path / "new.csv")] if command == "generate" else [str(source)]
+    result = runner.invoke(main, [command, *target, "--config", str(path)])
     assert result.exit_code == 2, result.output
     for key in config:
         assert key in result.output
@@ -774,6 +784,9 @@ def test_bad_config_value_is_usage_error(
         assert f"{next(iter(config.values()))} is not in the range x>=0." in result.output
     if config in ({"trees": 0}, {"min_leaf": 0}, {"max_features": 0}):
         assert "0 is not in the range x>=1." in result.output
+    if command == "generate":
+        assert f"{config['students']} is not in the range x>=1." in result.output
+        assert not (tmp_path / "new.csv").exists()
 
 
 def test_evaluate_config_banding_scheme(refined: Path, tmp_path: Path) -> None:

@@ -30,7 +30,8 @@ from markprep import (
     parse_transcript_csv,
     write_transcript_csv,
 )
-from markprep.ingest import _MARK_GRAMMAR, _reject
+from markprep import ingest
+from markprep.ingest import _MARK_GRAMMAR, _reject, _split_lines
 from test_core import make_outcome
 
 HEADER = ",".join(TRANSCRIPT_COLUMNS)
@@ -342,6 +343,96 @@ def test_one_leading_byte_order_mark_is_dropped(tmp_path: Path) -> None:
     # only one: a second mark is part of the header's first name
     with pytest.raises(TranscriptSchemaError):
         parse("\ufeff\ufeff" + text)
+
+
+# Text with no quote, CR, NUL, empty line or over-long line is split at
+# LF and commas instead of going through csv.reader; these pin that both
+# read the same rows, and that any other text still goes to the reader.
+TOKENISER_ALPHABET = ("a", "1", ".", ",", '"', "\r", "\n", "\0", " ", "\x85", "\x0b", "\x0c", "\x1c")
+
+
+def reader_rows(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_split_path_reads_the_rows_csv_reader_reads() -> None:
+    rng = random.Random(27)
+    split = 0
+    for _ in range(20_000):
+        text = "".join(rng.choices(TOKENISER_ALPHABET, k=rng.randrange(16)))
+        lines = _split_lines(text)
+        if lines is not None:
+            split += 1
+            assert [line.split(",") for line in lines] == reader_rows(text), repr(text)
+    assert split > 2_000  # the split path is not left untried
+
+
+def test_split_path_stays_within_the_field_limit() -> None:
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(8)
+        for cell in ("x" * 7, "x" * 8, "a,b,c,d"):
+            assert _split_lines(f"h\n{cell}\n") == ["h", cell]
+            assert reader_rows(f"h\n{cell}\n") == [["h"], cell.split(",")]
+        # a line past the limit goes to the reader, whose cells may still fit
+        assert _split_lines("h\nabcd,efgh\n") is None
+        assert reader_rows("h\nabcd,efgh\n") == [["h"], ["abcd", "efgh"]]
+    finally:
+        csv.field_size_limit(limit)
+
+
+def parse_outcome(text: str):
+    """The records and report of one parse, or the type and message of
+    the csv.Error or schema error it raises."""
+    try:
+        return parse(text)
+    except (csv.Error, TranscriptSchemaError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+ROW_A = "S1,CS,1,M1,60.0,58.0,62.0,50,50"
+ROW_B = "S2,CS,1,M2,61.0,60.0,62.0,50,50"
+
+
+@pytest.mark.parametrize(
+    ("text", "split"),
+    [
+        (f"{HEADER}\n{ROW_A}\n\n{ROW_B}\n", False),  # a blank line mid-file
+        (f"{HEADER}\n{ROW_A}\n\n", False),  # two trailing newlines
+        (f"{HEADER}\r\n{ROW_A}\r\n{ROW_B}\r\n", False),
+        (f"{HEADER}\n{ROW_A}\r{ROW_B}\n", False),  # a lone CR ends a row
+        (HEADER + "\n" + ROW_A.replace("M1", '"M,1"') + "\n", False),
+        (HEADER + "\n" + ROW_A.replace("M1", "M1\0") + "\n", False),
+        (HEADER + "\n" + ROW_A.replace("M1", "M1\x85") + "\n" + ROW_B, True),
+        (HEADER + "\n" + ROW_A.replace("M1", "M1\u2028") + "\n" + ROW_B + "\n", True),
+        (f"{HEADER}\n{ROW_A}\n{ROW_B},\n", True),  # one field too many
+        (f"\n{HEADER}\n{ROW_A}\n", False),
+        ("", True),
+    ],
+    ids=[
+        "blank-line", "two-trailing-newlines", "crlf", "lone-cr", "quoted-cell", "nul",
+        "nel-in-cell", "line-separator-in-cell", "extra-field", "leading-blank-line", "empty",
+    ],
+)
+def test_parse_reads_like_csv_reader(monkeypatch: pytest.MonkeyPatch, text: str, split: bool) -> None:
+    assert (_split_lines(text) is not None) is split
+    got = parse_outcome(text)
+    monkeypatch.setattr(ingest, "_split_lines", lambda text: None)
+    assert got == parse_outcome(text)
+
+
+def test_line_past_the_field_limit_goes_to_csv_reader() -> None:
+    text = f"{HEADER}\n{ROW_A}\n{ROW_B.replace('M2', 'M' * 40)}\n"
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(40)  # every line is longer; every cell fits
+        assert _split_lines(text) is None
+        records, report = parse(text)
+        assert [r.module_code for r in records] == ["M1", "M" * 40] and report.rejected_count == 0
+        csv.field_size_limit(39)
+        assert parse_outcome(text) == ("Error", "row 2: field larger than field limit (39)")
+    finally:
+        csv.field_size_limit(limit)
 
 
 # Each distinct cell text is checked and converted once per parse; these

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -190,3 +191,26 @@ def test_only_the_parser_builds_unchecked_records() -> None:
                 calls.append((module.name, ast.unparse(node.args[0])))
     assert sorted(calls) == [("core.py", "cls"), ("ingest.py", "StudentModuleOutcome")]
     assert references == len(calls)  # and no alias of it
+
+
+def test_no_record_pass_reads_car(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the record loops read a weight's ratio from core.COURSEWORK_RATIOS;
+    # StudentModuleOutcome.car is kept for library callers only
+    from markprep import StudentModuleOutcome, build_feature_table, group_mean_table, run_refinement_pipeline
+    from markprep.refine import reference_model
+    from markprep.synthgen import default_cohort_spec, generate_cohort
+
+    spec = default_cohort_spec(3, 60)
+    second = dataclasses.replace(spec.departments[0], code="EE", cw_weight_classes=(0, 30, 100))
+    records = generate_cohort(dataclasses.replace(spec, departments=(*spec.departments, second)))
+    assert len({record.department for record in records}) == 2
+
+    def refuse(record: StudentModuleOutcome) -> float:
+        raise AssertionError("a record pass read record.car")
+
+    monkeypatch.setattr(StudentModuleOutcome, "car", property(refuse))
+    group_mean_table(records)
+    for options in ({}, {"per_department": True}, {"clamp": True}, {"model": reference_model()}):
+        run_refinement_pipeline(records, **options)
+    build_feature_table(records)
+    build_feature_table(records, run_refinement_pipeline(records).refined_marks)

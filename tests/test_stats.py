@@ -6,6 +6,7 @@ never imports it.
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import scipy.stats
 from markprep import (
     AssessmentMethodClass,
     DegenerateSampleError,
+    StudentModuleOutcome,
     TTestVariant,
     classify_method,
     group_mean_table,
@@ -58,6 +60,23 @@ def test_group_mean_table_splits_departments() -> None:
     table = group_mean_table([a, b])
     assert table["CS"][AssessmentMethodClass.MIXED].mean == pytest.approx(40.0)
     assert table["EE"][AssessmentMethodClass.MIXED].mean == pytest.approx(90.0)
+
+
+def test_group_mean_table_keeps_first_appearance_order() -> None:
+    # weights 40 and 60 share a method, and their cells are joined; the keys
+    # of both levels follow each department's and method's first record
+    def outcome(department: str, weight: int, mark: float) -> StudentModuleOutcome:
+        exam, cswk = (None if weight == 100 else mark), (None if weight == 0 else mark)
+        return make_outcome(mark=mark, cswk_weight=weight, exam_mark=exam, cswk_mark=cswk, department=department)
+
+    rows = [("EE", 40, 61.1), ("CS", 100, 70.3), ("EE", 0, 52.7), ("CS", 60, 0.1), ("EE", 60, 58.9), ("EE", 40, 0.3)]
+    records = [outcome(*row) for row in rows]
+    table = group_mean_table(records)
+    assert list(table) == ["EE", "CS"]
+    assert list(table["EE"]) == [AssessmentMethodClass.MIXED, AssessmentMethodClass.EXAM_BASED]
+    assert list(table["CS"]) == [AssessmentMethodClass.COURSEWORK_BASED, AssessmentMethodClass.MIXED]
+    mixed = table["EE"][AssessmentMethodClass.MIXED]
+    assert (mixed.mean, mixed.count) == (statistics.fmean([61.1, 58.9, 0.3]), 3)
 
 
 def test_pooled_t_matches_oracle_fuzz() -> None:
