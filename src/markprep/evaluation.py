@@ -32,9 +32,10 @@ from .forest import (
     FeatureTable,
     ForestModel,
     ForestParams,
+    _train_arms,
+    _training_data,
     holdout_split,
     proba_matrix,
-    train_forest,
 )
 
 CAR_COLUMN = "mean_car"
@@ -396,21 +397,22 @@ def compare_with_without_car(
 
     Masking zero-fills the column instead of dropping it, keeping arity
     and stream consumption identical, so the only difference between the
-    two runs is the information the column carries.
+    two runs is the information the column carries.  The two forests grow
+    together on the training columns built once, the masked arm sharing
+    every other column, and each equals ``train_forest`` on its own rows.
     """
     if CAR_COLUMN not in table.column_names:
         raise ValueError(f"feature table has no {CAR_COLUMN!r} column")
     car_index = table.column_names.index(CAR_COLUMN)
     train_rows, test_rows = holdout_split(list(table.rows), test_fraction, seed)
 
-    model_with = train_forest(train_rows, params, seed)
+    columns, labels = _training_data(train_rows, params)
+    masked = list(columns)
+    masked[car_index] = [0.0] * len(labels)
+    model_with, model_without = _train_arms([columns, masked], labels, params, seed)
+
     report_with = evaluate_forest(model_with, test_rows, average)
-
-    masked_train = _mask_column(train_rows, car_index)
-    masked_test = _mask_column(test_rows, car_index)
-    model_without = train_forest(masked_train, params, seed)
-    report_without = evaluate_forest(model_without, masked_test, average)
-
+    report_without = evaluate_forest(model_without, _mask_column(test_rows, car_index), average)
     return ComparisonResult(with_car=report_with, without_car=report_without)
 
 

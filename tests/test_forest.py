@@ -1,6 +1,7 @@
 """From-scratch random forest: splits, determinism, prediction."""
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from markprep import (
+    CAR_COLUMN,
+    DEFAULT_TEST_FRACTION,
     DegreeBand,
     FeatureRow,
     FeatureTable,
@@ -15,13 +18,17 @@ from markprep import (
     ForestParams,
     SingleClassError,
     TreeNode,
+    build_feature_table,
+    compare_with_without_car,
+    default_cohort_spec,
     evaluate_forest,
+    generate_cohort,
     gini_impurity,
     holdout_split,
     proba_matrix,
     train_forest,
 )
-from markprep.forest import _best_split
+from markprep.forest import _best_split, _train_arms, _training_data
 
 _N_BANDS = len(DegreeBand)
 
@@ -122,6 +129,25 @@ def test_forest_params_validation() -> None:
         ForestParams(tree_count=5, min_leaf=0)
     with pytest.raises(ValueError):
         ForestParams(tree_count=5, max_features=0)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("tree_count", True),
+        ("tree_count", 3.0),
+        ("min_leaf", 1.5),
+        ("min_leaf", True),
+        ("max_features", 2.0),
+        ("max_features", False),
+        ("bootstrap", "no"),
+        ("bootstrap", 1),
+        ("bootstrap", None),
+    ],
+)
+def test_forest_params_refuse_values_of_the_wrong_type(field: str, value: object) -> None:
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ForestParams(**{field: value})
 
 
 def test_forest_learns_separable_blobs() -> None:
@@ -288,10 +314,14 @@ def test_split_search_matches_numpy_reference_bit_for_bit() -> None:
             indexes = rng.integers(0, 300, size=size)
             counts = np.bincount(y_all[indexes], minlength=_N_BANDS).tolist()
             columns, labels = x_matrix.T.tolist(), y_all.tolist()
+            # the oracle reads the drawn rows with their repeats; the
+            # package reads the distinct rows and how often each was drawn
+            weights = np.bincount(indexes, minlength=300).tolist()
+            rows = np.flatnonzero(weights).tolist()
             for min_leaf in (1, 2, 3):
                 for order in orders:
                     expected = _numpy_best_split(x_matrix, y_all, indexes, order, min_leaf)
-                    got = _best_split(columns, labels, indexes.tolist(), counts, order, min_leaf)
+                    got = _best_split(columns, labels, weights, rows, counts, order, min_leaf)
                     assert got == expected, (size, picked, min_leaf, order)
                     if got is not None and picked[got[1]] == 3:
                         values = x_matrix[indexes, got[1]]
@@ -320,3 +350,68 @@ def test_proba_matrix_equals_a_per_row_tree_walk() -> None:
     x_matrix = np.array([row.features for row in rows])
     expected = np.array([_walk_proba(model, features) for features in x_matrix])
     assert np.array_equal(proba_matrix(model, x_matrix), expected)
+
+
+def _arm_rows(rows: Sequence[FeatureRow], columns: list[list[float]]) -> list[FeatureRow]:
+    """``rows`` with their features read from ``columns``."""
+    return [
+        FeatureRow(row.student_id, tuple(column[i] for column in columns), row.label)
+        for i, row in enumerate(rows)
+    ]
+
+
+@functools.lru_cache(maxsize=1)
+def _cohort_rows() -> list[FeatureRow]:
+    table = build_feature_table(generate_cohort(default_cohort_spec(seed=42, student_count=406)))
+    assert table.column_names[-1] == CAR_COLUMN
+    return holdout_split(list(table.rows), DEFAULT_TEST_FRACTION, 42)[0]
+
+
+def _blob3_rows() -> list[FeatureRow]:
+    """Blob rows with a third, tied column, so max_features can be 3."""
+    rows = blob_rows(np.random.default_rng(17), n=90)
+    return [
+        FeatureRow(row.student_id, (*row.features, float(i % 4)), row.label)
+        for i, row in enumerate(rows)
+    ]
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("max_features", [1, 2, 3])
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("data", ["blobs", "cohort"])
+def test_arms_grown_together_equal_arms_grown_apart(
+    data: str, min_leaf: int, max_features: int, bootstrap: bool
+) -> None:
+    rows = _blob3_rows() if data == "blobs" else _cohort_rows()
+    params = ForestParams(tree_count=4, max_features=max_features, min_leaf=min_leaf, bootstrap=bootstrap)
+    live, labels = _training_data(rows, params)
+    masked = list(live)
+    masked[-1] = [0.0] * len(rows)
+    # another first column: an arm that shares columns 1 and 2 but not 0,
+    # so a search read back by column position would give it live's splits
+    moved = list(live)
+    moved[0] = [value + float(i % 3) for i, value in enumerate(live[0])]
+    arms = [live, masked, moved]
+    together = _train_arms(arms, labels, params, seed=8)
+    apart = [train_forest(_arm_rows(rows, columns), params, seed=8) for columns in arms]
+    assert together == apart
+    assert _train_arms([live], labels, params, seed=8) == apart[:1]
+
+
+def _zeroed(rows: Sequence[FeatureRow], column: int) -> list[FeatureRow]:
+    return [
+        FeatureRow(row.student_id, (*row.features[:column], 0.0, *row.features[column + 1 :]), row.label)
+        for row in rows
+    ]
+
+
+def test_compare_equals_its_decomposition_into_public_calls() -> None:
+    table = build_feature_table(generate_cohort(default_cohort_spec(seed=17, student_count=406)))
+    car = table.column_names.index(CAR_COLUMN)
+    params = ForestParams(tree_count=8)
+    train, test = holdout_split(list(table.rows), DEFAULT_TEST_FRACTION, 5)
+    with_car = evaluate_forest(train_forest(train, params, 5), test)
+    without_car = evaluate_forest(train_forest(_zeroed(train, car), params, 5), _zeroed(test, car))
+    result = compare_with_without_car(table, params, seed=5)
+    assert (result.with_car, result.without_car) == (with_car, without_car)

@@ -345,10 +345,13 @@ def test_one_leading_byte_order_mark_is_dropped(tmp_path: Path) -> None:
         parse("\ufeff\ufeff" + text)
 
 
-# Text with no quote, CR, NUL, empty line or over-long line is split at
-# LF and commas instead of going through csv.reader; these pin that both
-# read the same rows, and that any other text still goes to the reader.
+# Text with no quote, NUL, empty line, over-long line, lone CR or mix of
+# LF and CRLF line ends is split at its line ends and commas instead of
+# going through csv.reader; these pin that both read the same rows, and
+# that any other text still goes to the reader.
 TOKENISER_ALPHABET = ("a", "1", ".", ",", '"', "\r", "\n", "\0", " ", "\x85", "\x0b", "\x0c", "\x1c")
+# CRLF as one token, so that CRLF-only texts are common
+CRLF_ALPHABET = tuple(token for token in TOKENISER_ALPHABET if token not in "\r\n") + ("\r\n",)
 
 
 def reader_rows(text: str) -> list[list[str]]:
@@ -365,6 +368,26 @@ def test_split_path_reads_the_rows_csv_reader_reads() -> None:
             split += 1
             assert [line.split(",") for line in lines] == reader_rows(text), repr(text)
     assert split > 2_000  # the split path is not left untried
+
+
+def test_crlf_split_path_reads_the_rows_csv_reader_reads() -> None:
+    rng = random.Random(28)
+    split = 0
+    for _ in range(20_000):
+        text = "".join(rng.choices(CRLF_ALPHABET, k=rng.randrange(16)))
+        stray = rng.random() < 0.3
+        if stray:
+            # a lone CR or LF anywhere, if only inside a CRLF, is a second
+            # line ending beside the CRLFs, or the only CR
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice("\r\n") + text[at:]
+        lines = _split_lines(text)
+        if stray and "\r" in text:
+            assert lines is None, repr(text)
+        if lines is not None:
+            split += "\r" in text
+            assert [line.split(",") for line in lines] == reader_rows(text), repr(text)
+    assert split > 500  # the CRLF split path is not left untried
 
 
 def test_split_path_stays_within_the_field_limit() -> None:
@@ -399,8 +422,14 @@ ROW_B = "S2,CS,1,M2,61.0,60.0,62.0,50,50"
     [
         (f"{HEADER}\n{ROW_A}\n\n{ROW_B}\n", False),  # a blank line mid-file
         (f"{HEADER}\n{ROW_A}\n\n", False),  # two trailing newlines
-        (f"{HEADER}\r\n{ROW_A}\r\n{ROW_B}\r\n", False),
+        (f"{HEADER}\r\n{ROW_A}\r\n{ROW_B}\r\n", True),
+        (f"{HEADER}\r\n{ROW_A}\r\n{ROW_B}", True),  # no final line end
         (f"{HEADER}\n{ROW_A}\r{ROW_B}\n", False),  # a lone CR ends a row
+        (f"{HEADER}\r\n{ROW_A}\r{ROW_B}\r\n", False),  # a lone CR among CRLFs
+        (f"{HEADER}\r\n{ROW_A}\n{ROW_B}\r\n", False),  # LF and CRLF mixed
+        (f"{HEADER}\r\n{ROW_A}\r\n\r\n{ROW_B}\r\n", False),  # a blank CRLF line
+        (f"\r\n{HEADER}\r\n{ROW_A}\r\n", False),
+        (f"{HEADER}\r\n{ROW_A}\r\r\n", False),  # a CR before the CRLF
         (HEADER + "\n" + ROW_A.replace("M1", '"M,1"') + "\n", False),
         (HEADER + "\n" + ROW_A.replace("M1", "M1\0") + "\n", False),
         (HEADER + "\n" + ROW_A.replace("M1", "M1\x85") + "\n" + ROW_B, True),
@@ -410,7 +439,9 @@ ROW_B = "S2,CS,1,M2,61.0,60.0,62.0,50,50"
         ("", True),
     ],
     ids=[
-        "blank-line", "two-trailing-newlines", "crlf", "lone-cr", "quoted-cell", "nul",
+        "blank-line", "two-trailing-newlines", "crlf", "crlf-unterminated", "lone-cr",
+        "lone-cr-among-crlf", "mixed-lf-crlf", "crlf-blank-line", "crlf-leading-blank-line",
+        "cr-before-crlf", "quoted-cell", "nul",
         "nel-in-cell", "line-separator-in-cell", "extra-field", "leading-blank-line", "empty",
     ],
 )
