@@ -376,15 +376,6 @@ class ComparisonResult:
         return result
 
 
-def _mask_column(rows: Iterable[FeatureRow], column_index: int) -> list[FeatureRow]:
-    masked = []
-    for row in rows:
-        features = list(row.features)
-        features[column_index] = 0.0
-        masked.append(FeatureRow(row.student_id, tuple(features), row.label))
-    return masked
-
-
 def compare_with_without_car(
     table: FeatureTable,
     params: ForestParams,
@@ -400,6 +391,8 @@ def compare_with_without_car(
     two runs is the information the column carries.  The two forests grow
     together on the training columns built once, the masked arm sharing
     every other column, and each equals ``train_forest`` on its own rows.
+    Both score the test rows as they are: no split is made on a constant
+    column, so no masked tree reads a test row's ratio.
     """
     if CAR_COLUMN not in table.column_names:
         raise ValueError(f"feature table has no {CAR_COLUMN!r} column")
@@ -412,7 +405,7 @@ def compare_with_without_car(
     model_with, model_without = _train_arms([columns, masked], labels, params, seed)
 
     report_with = evaluate_forest(model_with, test_rows, average)
-    report_without = evaluate_forest(model_without, _mask_column(test_rows, car_index), average)
+    report_without = evaluate_forest(model_without, test_rows, average)
     return ComparisonResult(with_car=report_with, without_car=report_without)
 
 

@@ -141,25 +141,16 @@ def _split_lines(text: str) -> list[str] | None:
     """The lines of ``text`` when splitting each at commas reads it exactly
     as ``csv.reader`` does, else None.
 
-    With no quote there is no quoting to undo, and with no NUL the reader
-    raises no error for a character.  Lines end at LF, or at CRLF when every
-    CR and every LF is part of a CRLF; a lone CR, which also ends a row, or
-    a mix of endings is left to the reader.  So are an empty line, which the
-    reader yields as ``[]`` rather than ``[""]``, and a line longer than the
-    field limit, which it may refuse.  The final empty string of a text that
-    ends in its line ending is no line.
+    With no quote there is no quoting to undo, and with no CR and no NUL
+    the reader ends a row only at LF and raises no error for a character;
+    an empty line, which the reader yields as ``[]`` rather than ``[""]``,
+    and a line longer than the field limit, which it may refuse, are left
+    to it too.  The final empty string of a text that ends in LF is no
+    line.
     """
-    if '"' in text or "\0" in text:
+    if '"' in text or "\r" in text or "\0" in text or "\n\n" in text or text.startswith("\n"):
         return None
-    ending = "\n"
-    if "\r" in text:
-        crlf = text.count("\r\n")
-        if text.count("\r") != crlf or text.count("\n") != crlf:
-            return None
-        ending = "\r\n"
-    if ending + ending in text or text.startswith(ending):
-        return None
-    lines = text.split(ending)
+    lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
     if lines and max(map(len, lines)) > csv.field_size_limit():

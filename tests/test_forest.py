@@ -399,6 +399,36 @@ def test_arms_grown_together_equal_arms_grown_apart(
     assert _train_arms([live], labels, params, seed=8) == apart[:1]
 
 
+def _split_features(tree: TreeNode) -> list[int]:
+    """The feature of every internal node of ``tree``."""
+    features, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            features.append(node.feature)
+            stack += [node.left, node.right]
+    return features
+
+
+# compare_with_without_car scores its masked forest on the test rows as
+# they are, which is exact only because of this
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("max_features", [1, 3])
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_forest_never_splits_on_a_constant_column(min_leaf: int, max_features: int, bootstrap: bool) -> None:
+    rows = [
+        FeatureRow(row.student_id, (row.features[0], 0.0, row.features[1]), row.label)
+        for row in blob_rows(np.random.default_rng(23), n=90, noise=1.5)
+    ]
+    params = ForestParams(tree_count=10, max_features=max_features, min_leaf=min_leaf, bootstrap=bootstrap)
+    model = train_forest(rows, params, seed=9)
+    splits = [feature for tree in model.trees for feature in _split_features(tree)]
+    assert splits and 1 not in splits
+    given = [row.features for row in rows]
+    moved = [(x, value, y) for (x, _, y), value in zip(given, itertools.cycle((-1e9, -1.0, 0.5, 7.0, 1e9)))]
+    assert proba_matrix(model, moved) == proba_matrix(model, given)
+
+
 def _zeroed(rows: Sequence[FeatureRow], column: int) -> list[FeatureRow]:
     return [
         FeatureRow(row.student_id, (*row.features[:column], 0.0, *row.features[column + 1 :]), row.label)

@@ -345,13 +345,10 @@ def test_one_leading_byte_order_mark_is_dropped(tmp_path: Path) -> None:
         parse("\ufeff\ufeff" + text)
 
 
-# Text with no quote, NUL, empty line, over-long line, lone CR or mix of
-# LF and CRLF line ends is split at its line ends and commas instead of
-# going through csv.reader; these pin that both read the same rows, and
-# that any other text still goes to the reader.
+# Text with no quote, CR, NUL, empty line or over-long line is split at
+# LF and commas instead of going through csv.reader; these pin that both
+# read the same rows, and that any other text still goes to the reader.
 TOKENISER_ALPHABET = ("a", "1", ".", ",", '"', "\r", "\n", "\0", " ", "\x85", "\x0b", "\x0c", "\x1c")
-# CRLF as one token, so that CRLF-only texts are common
-CRLF_ALPHABET = tuple(token for token in TOKENISER_ALPHABET if token not in "\r\n") + ("\r\n",)
 
 
 def reader_rows(text: str) -> list[list[str]]:
@@ -364,30 +361,12 @@ def test_split_path_reads_the_rows_csv_reader_reads() -> None:
     for _ in range(20_000):
         text = "".join(rng.choices(TOKENISER_ALPHABET, k=rng.randrange(16)))
         lines = _split_lines(text)
+        if "\r" in text:
+            assert lines is None, repr(text)
         if lines is not None:
             split += 1
             assert [line.split(",") for line in lines] == reader_rows(text), repr(text)
     assert split > 2_000  # the split path is not left untried
-
-
-def test_crlf_split_path_reads_the_rows_csv_reader_reads() -> None:
-    rng = random.Random(28)
-    split = 0
-    for _ in range(20_000):
-        text = "".join(rng.choices(CRLF_ALPHABET, k=rng.randrange(16)))
-        stray = rng.random() < 0.3
-        if stray:
-            # a lone CR or LF anywhere, if only inside a CRLF, is a second
-            # line ending beside the CRLFs, or the only CR
-            at = rng.randrange(len(text) + 1)
-            text = text[:at] + rng.choice("\r\n") + text[at:]
-        lines = _split_lines(text)
-        if stray and "\r" in text:
-            assert lines is None, repr(text)
-        if lines is not None:
-            split += "\r" in text
-            assert [line.split(",") for line in lines] == reader_rows(text), repr(text)
-    assert split > 500  # the CRLF split path is not left untried
 
 
 def test_split_path_stays_within_the_field_limit() -> None:
@@ -422,8 +401,8 @@ ROW_B = "S2,CS,1,M2,61.0,60.0,62.0,50,50"
     [
         (f"{HEADER}\n{ROW_A}\n\n{ROW_B}\n", False),  # a blank line mid-file
         (f"{HEADER}\n{ROW_A}\n\n", False),  # two trailing newlines
-        (f"{HEADER}\r\n{ROW_A}\r\n{ROW_B}\r\n", True),
-        (f"{HEADER}\r\n{ROW_A}\r\n{ROW_B}", True),  # no final line end
+        (f"{HEADER}\r\n{ROW_A}\r\n{ROW_B}\r\n", False),
+        (f"{HEADER}\r\n{ROW_A}\r\n{ROW_B}", False),  # no final line end
         (f"{HEADER}\n{ROW_A}\r{ROW_B}\n", False),  # a lone CR ends a row
         (f"{HEADER}\r\n{ROW_A}\r{ROW_B}\r\n", False),  # a lone CR among CRLFs
         (f"{HEADER}\r\n{ROW_A}\n{ROW_B}\r\n", False),  # LF and CRLF mixed
