@@ -6,14 +6,12 @@ The headline error rate follows the source convention: error rate is
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
-    COURSEWORK_RATIOS,
     DEFAULT_BANDING,
     DEFAULT_TEST_FRACTION,
     PUBLISHED_CLASS_ORDER,
@@ -49,11 +47,6 @@ class UndefinedAucError(ValueError):
     """Raised when AUC is requested for single-class labels."""
 
 
-def _running_mean(values: Sequence[float]) -> float:
-    """The mean of ``values`` added left to right from an int 0."""
-    return reduce(add, values, 0) / len(values)
-
-
 def build_feature_table(
     records: Sequence[StudentModuleOutcome],
     refined_marks: Sequence[float] | None = None,
@@ -71,13 +64,10 @@ def build_feature_table(
     Averages are clamped to the mark scale before banding, since
     unclamped refinement can step slightly outside it.
 
-    The marks are grouped per (student, year) and the coursework weights
-    per student, each list in record order, and each average adds its
-    list left to right from an int 0: the same additions in the same
-    order as a running ``total + value`` over the records, so the grouping
-    moves no bit.  Not ``sum()``, which compensates float rounding from
-    Python 3.12, nor ``math.fsum``, which rounds once.  Students keep the
-    order of their first record.
+    No feature depends on the order of the records: a year average is
+    the correctly rounded sum of its marks (``math.fsum``) divided once,
+    the mean ratio is the exact sum of the integer coursework weights
+    divided once, and rows are sorted by student id.
     """
     if refined_marks is not None and len(refined_marks) != len(records):
         raise ValueError(
@@ -93,11 +83,12 @@ def build_feature_table(
 
     needed_years = [*predictor_years, target_year]
     rows: list[FeatureRow] = []
-    for student_id, weights in student_weights.items():
+    for student_id, weights in sorted(student_weights.items()):
         if not all((student_id, year) in year_marks for year in needed_years):
             continue
-        averages = [_running_mean(year_marks[student_id, year]) for year in needed_years]
-        features = (*averages[:-1], _running_mean([COURSEWORK_RATIOS[weight] for weight in weights]))
+        groups = [year_marks[student_id, year] for year in needed_years]
+        averages = [math.fsum(group) / len(group) for group in groups]
+        features = (*averages[:-1], sum(weights) / (100 * len(weights)))
         label = scheme.classify(min(100.0, max(0.0, averages[-1])))
         rows.append(FeatureRow(student_id, features, label))
 
@@ -256,7 +247,7 @@ def _average_auc(per_class: Mapping[DegreeBand, float], counts: Mapping[DegreeBa
     """Per-band AUCs weighted by ``counts``, the true rows per band, or
     equally (``macro``).  Sums run worst band first whatever the mapping
     order, so a report read back from a file reproduces its saved AUC, and
-    add left to right from 0 like the feature table's."""
+    add left to right from 0, so a compensated ``sum()`` moves no bit."""
     total = sum(counts.values())
     weighted = weights = 0.0
     for band in [band for band in BAND_ORDER if band in per_class]:

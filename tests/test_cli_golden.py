@@ -10,6 +10,7 @@ moves and says why.
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -169,3 +170,34 @@ def test_report_renders_saved_evaluation_like_evaluate(tmp_path: Path, fmt: str)
         evaluate = ("evaluate", "cohort.refined.csv", "--trees", "15")
         run(*evaluate, "--format", "json", "--output", "eval.json")
         assert run("report", "eval.json", "--format", fmt) == run(*evaluate, "--format", fmt)
+
+
+def collect_row_order_outputs(dirty: bool, shuffle: bool) -> dict[str, bytes]:
+    """The seed-3, 406-student round trip on ``in.csv``, dirty or clean,
+    with its data rows shuffled or as generated.  The refined CSV keeps the
+    input's row order, so its lines are compared sorted."""
+    run("generate", "--seed", "3", "--students", "406")
+    if dirty:
+        write_dirty_copy(Path("cohort.csv"))
+    header, *lines = Path("dirty.csv" if dirty else "cohort.csv").read_text().splitlines()
+    if shuffle:
+        random.Random(3).shuffle(lines)
+    Path("in.csv").write_text("\n".join([header, *lines]) + "\n")
+    outputs = {}
+    if not dirty:  # a dirty file's issues name their rows
+        outputs["validate"] = run("validate", "in.csv", "--format", "json").encode()
+    outputs["stats"] = run("stats", "in.csv", "--format", "json").encode()
+    outputs["refine"] = run("refine", "in.csv", "--format", "json").encode()
+    outputs["in.model.json"] = Path("in.model.json").read_bytes()
+    outputs["in.refined.csv"] = b"\n".join(sorted(Path("in.refined.csv").read_bytes().splitlines()))
+    outputs["evaluate"] = run("evaluate", "in.refined.csv", "--format", "json").encode()
+    return outputs
+
+
+@pytest.mark.parametrize("variant", ["clean", "dirty"])
+def test_outputs_do_not_depend_on_the_row_order(tmp_path: Path, variant: str) -> None:
+    runs = []
+    for shuffle in (False, True):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            runs.append(collect_row_order_outputs(variant == "dirty", shuffle))
+    assert runs[0] == runs[1]

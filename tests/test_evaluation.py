@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,16 +121,10 @@ def test_feature_table_clamps_target_average_before_banding() -> None:
 # The feature table as it was built before each student's records were
 # grouped in one pass: one ``year_average`` call per student and year, each
 # re-filtering that student's records.  Kept as the oracle the one-pass
-# table must equal exactly: ids, features, labels and row order.  Its
-# averages add left to right from 0, which is what sum() did before Python
-# 3.12, so the oracle gives the same bits on every Python.
-
-
-def added_in_order(values):
-    total = 0
-    for value in values:
-        total += value
-    return total
+# table must equal exactly: ids, features, labels and row order.  A year
+# average is the math.fsum of its marks divided once and the mean ratio an
+# exact Fraction rounded once, so neither depends on the order of the
+# records or on the Python's sum().
 
 
 def year_average(outcomes, year_level, marks=None):
@@ -145,7 +140,7 @@ def year_average(outcomes, year_level, marks=None):
     ]
     if not selected:
         raise ValueError(f"no modules recorded for year {year_level}")
-    return added_in_order(selected) / len(selected)
+    return math.fsum(selected) / len(selected)
 
 
 def oracle_feature_table(
@@ -157,7 +152,7 @@ def oracle_feature_table(
 
     needed_years = [*predictor_years, target_year]
     rows: list[FeatureRow] = []
-    for student_id, indexes in by_student.items():
+    for student_id, indexes in sorted(by_student.items()):
         outcomes = [records[i] for i in indexes]
         years_present = {outcome.year_level for outcome in outcomes}
         if not all(year in years_present for year in needed_years):
@@ -168,8 +163,8 @@ def oracle_feature_table(
         features = [
             year_average(outcomes, year, marks) for year in predictor_years
         ]
-        cars = [outcome.cswk_weight / 100 for outcome in outcomes]
-        features.append(added_in_order(cars) / len(cars))
+        cars = [Fraction(outcome.cswk_weight, 100) for outcome in outcomes]
+        features.append(float(sum(cars) / len(cars)))
         target_average = year_average(outcomes, target_year, marks)
         label = scheme.classify(min(100.0, max(0.0, target_average)))
         rows.append(FeatureRow(student_id, tuple(features), label))
@@ -251,9 +246,24 @@ def test_feature_table_equals_the_year_average_oracle(records, refined, options,
     if expected is not None:
         assert list(table.rows) == expected
     else:
-        # the case is not vacuous: rows in first-appearance order, not sorted
-        assert len(table.rows) > 20
-        assert [row.student_id for row in table.rows] != sorted(row.student_id for row in table.rows)
+        # the case is not vacuous: rows sorted by id, and the records were not
+        ids = [row.student_id for row in table.rows]
+        assert len(ids) > 20 and ids == sorted(ids)
+        first_seen = list(dict.fromkeys(record.student_id for record in records))
+        assert first_seen != sorted(first_seen)
+
+
+def test_equal_means_reached_in_different_orders_are_equal_features() -> None:
+    # added left to right, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in
+    # the last bit, and so do 55.1 + 60.2 + 70.3 and its reverse
+    modules = [(55.1, 10, 1), (60.2, 20, 1), (70.3, 30, 1), (64.0, 30, 2), (58.0, 20, 3)]
+    records = [
+        make_outcome(mark=mark, cswk_weight=weight, year_level=year, student_id=student_id, module_code=f"M{index}")
+        for student_id, order in (("S1", modules), ("S2", modules[::-1]))
+        for index, (mark, weight, year) in enumerate(order)
+    ]
+    first, second = build_feature_table(records).rows
+    assert first.features == second.features == (math.fsum([55.1, 60.2, 70.3]) / 3, 64.0, 110 / 500)
 
 
 def compensated_sum(iterable, /, start=0):
